@@ -162,15 +162,20 @@ int main(int argc, char** argv) {
   // Direct drift-detector cost: replay the stream's own PCA coordinates
   // through a detector in a tight loop. Same work per sample as the
   // attached detector does inside record().
-  std::vector<double> projected_rows;
-  std::size_t components = 0;
-  for (const auto& snapshot : stream) {
-    const core::SnapshotClassification detail =
-        pipeline.classify_detailed(snapshot);
-    components = detail.projected.size();
-    projected_rows.insert(projected_rows.end(), detail.projected.begin(),
-                          detail.projected.end());
+  core::SnapshotBatch batch;
+  pipeline.begin_snapshot_batch(batch, stream.size(), /*detailed=*/true);
+  {
+    auto scratch = pipeline.acquire_scratch();
+    for (std::size_t i = 0; i < stream.size(); ++i)
+      pipeline.classify_snapshot_into(stream[i], batch, i, *scratch);
   }
+  const std::size_t components = pipeline.pca().components();
+  std::vector<double> projected_rows;
+  projected_rows.reserve(stream.size() * components);
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    projected_rows.insert(projected_rows.end(),
+                          batch.detail(i).projected.begin(),
+                          batch.detail(i).projected.end());
   // One stream pass through the bare detector is ~1 ms — too short to
   // time against scheduler noise — so each timed rep replays the rows
   // several times and reports per-pass seconds. Each drift rep is paired

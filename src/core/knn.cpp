@@ -1,7 +1,8 @@
 #include "core/knn.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
-#include <limits>
 
 #include "common/assert.hpp"
 
@@ -41,21 +42,27 @@ QueryResult KnnClassifier::make_result(std::size_t count,
   return out;
 }
 
-namespace {
-
-/// The novelty score predates the Manhattan option and is defined as the
-/// *Euclidean* distance to the nearest training point regardless of the
-/// vote metric; under Euclidean it falls out of the kernel's hits[0] for
-/// free, under Manhattan it needs this scalar scan.
-double euclidean_novelty(const linalg::Matrix& points,
-                         std::span<const double> q) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < points.rows(); ++i)
-    best = std::min(best, linalg::squared_distance(points.row(i), q));
-  return std::sqrt(best);
+KnnClassifier::Evidence KnnClassifier::evidence(
+    std::span<const engine::BlockedKnnIndex::Hit> hits) const {
+  Evidence out;
+  out.vote = index_.vote(hits);
+  // Margin: winner minus runner-up vote count over k. Unanimous = 1.
+  std::array<int, kClassCount> votes{};
+  for (const auto& hit : hits) ++votes[index_of(labels_[hit.index])];
+  const std::size_t winner = index_of(out.vote.label);
+  int runner_up = 0;
+  for (std::size_t c = 0; c < kClassCount; ++c)
+    if (c != winner) runner_up = std::max(runner_up, votes[c]);
+  out.margin = static_cast<double>(votes[winner] - runner_up) /
+               static_cast<double>(hits.size());
+  // Hits ascend by metric-space distance, so hits[0] is the nearest
+  // training point: squared L2 under Euclidean, the L1 sum under
+  // Manhattan.
+  out.novelty = options_.metric == DistanceMetric::kEuclidean
+                    ? std::sqrt(hits[0].distance)
+                    : hits[0].distance;
+  return out;
 }
-
-}  // namespace
 
 void KnnClassifier::query_rows(
     const linalg::Matrix& points, std::size_t begin, std::size_t end,
@@ -65,24 +72,17 @@ void KnnClassifier::query_rows(
   APPCLASS_EXPECTS(points.cols() == points_.cols());
   APPCLASS_EXPECTS(begin <= end && end <= points.rows());
   APPCLASS_EXPECTS(end <= out.count);
-  const bool euclidean = options_.metric == DistanceMetric::kEuclidean;
   for (std::size_t r = begin; r < end; ++r) {
-    const auto q = points.row(r);
-    const auto hits = index_.top_k(q, scratch);
-    const auto vote = index_.vote(hits);
-    out.labels[r] = vote.label;
-    if (options.vote_shares) out.vote_shares[r] = vote.share;
+    const auto hits = index_.top_k(points.row(r), scratch);
+    const Evidence ev = evidence(hits);
+    out.labels[r] = ev.vote.label;
+    if (options.vote_shares) out.vote_shares[r] = ev.vote.share;
     if (options.neighbors) {
       for (std::size_t j = 0; j < out.neighbors_per_query; ++j)
         out.neighbor_indices[r * out.neighbors_per_query + j] =
             hits[j].index;
     }
-    if (options.novelty) {
-      // hits are ascending, so under Euclidean hits[0] already holds the
-      // global minimum squared distance — no second scan.
-      out.novelty[r] = euclidean ? std::sqrt(hits[0].distance)
-                                 : euclidean_novelty(points_, q);
-    }
+    if (options.novelty) out.novelty[r] = ev.novelty;
   }
 }
 

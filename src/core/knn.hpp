@@ -5,13 +5,13 @@
 // (summed inverse ranks), matching the "odd k" convention the paper uses
 // to avoid most ties in the first place (k = 3).
 //
-// Since the engine PR the classifier is a thin policy layer over the
-// blocked structure-of-arrays kernel in engine/knn_kernel.hpp: training
-// builds the SoA index, and the single canonical entry point
-// `query(points, QueryOptions)` answers every question (labels, vote
-// shares, neighbor indices, novelty distances) in one pass. The legacy
-// per-question entry points (classify, classify_with_confidence, nearest,
-// nearest_distance) have been removed; query() is the only query surface.
+// The classifier is a thin policy layer over the blocked structure-of-
+// arrays kernel in engine/knn_kernel.hpp: training builds the SoA index,
+// and `query(points, QueryOptions)` answers every question (labels, vote
+// shares, neighbor indices, novelty distances) from one kernel scan per
+// point. Everything beyond the label is derived from that scan's hits in
+// one place (the private evidence() helper), which the pipeline's
+// per-snapshot path shares.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +42,8 @@ struct QueryOptions {
   bool vote_shares = false;
   /// The k nearest training indices per query point, nearest first.
   bool neighbors = false;
-  /// Euclidean distance to the single nearest training point — the
-  /// novelty score (large = resembles no trained behaviour).
+  /// The novelty score per query point, as defined at
+  /// PipelineOptions::novelty_threshold.
   bool novelty = false;
 };
 
@@ -110,6 +110,21 @@ class KnnClassifier {
   const engine::BlockedKnnIndex& index() const noexcept { return index_; }
 
  private:
+  friend class ClassificationPipeline;
+
+  /// What one query's hits say beyond the neighbour list. The only place
+  /// the vote margin and the novelty score are derived: query_rows() and
+  /// ClassificationPipeline::classify_snapshot_into() both read them here.
+  struct Evidence {
+    engine::BlockedKnnIndex::Vote vote;
+    /// (winner votes - runner-up votes) / k, in [0, 1].
+    double margin = 0.0;
+    /// Distance to the nearest training point in the vote metric.
+    double novelty = 0.0;
+  };
+  /// `hits` as returned by index().top_k (ascending, non-empty).
+  Evidence evidence(std::span<const engine::BlockedKnnIndex::Hit> hits) const;
+
   KnnOptions options_;
   linalg::Matrix points_;  // row-major original (accessors, serialization)
   std::vector<ApplicationClass> labels_;

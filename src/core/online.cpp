@@ -80,15 +80,15 @@ std::optional<ApplicationClass> OnlineClassifier::observe(
   }
 
   obs::ScopedTimer observe_timer(om.observe_seconds);
-  if (health_ != nullptr) {
-    // Detailed path: same label arithmetic, plus the health evidence.
-    const SnapshotClassification detail = pipeline_.classify_detailed(snapshot);
-    ingest(snapshot, detail);
-    return detail.label;
-  }
-  const ApplicationClass label = pipeline_.classify(snapshot);
-  ingest(snapshot, label);
-  return label;
+  // The health layer needs the evidence; the label is the same either way.
+  pipeline_.begin_snapshot_batch(batch_, 1, /*detailed=*/health_ != nullptr);
+  pipeline_.classify_snapshot_into(snapshot, batch_, 0,
+                                   *pipeline_.acquire_scratch());
+  if (batch_.detailed())
+    ingest(snapshot, batch_.detail(0));
+  else
+    ingest(snapshot, batch_.label(0));
+  return batch_.label(0);
 }
 
 void OnlineClassifier::ingest(const metrics::Snapshot& snapshot,

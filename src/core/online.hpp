@@ -90,7 +90,8 @@ class OnlineClassifier {
 
   /// Feeds one announced snapshot; classifies it if it falls on the
   /// sampling grid. Returns the label assigned, if any. Equivalent to
-  /// on_grid() + pipeline.classify() + ingest().
+  /// on_grid() + pipeline.classify_snapshot_into() on a batch of one
+  /// (detailed while a health aggregator is attached) + ingest().
   std::optional<ApplicationClass> observe(const metrics::Snapshot& snapshot);
 
   /// True when `snapshot` falls on the sampling grid (would be classified).
@@ -105,9 +106,9 @@ class OnlineClassifier {
   /// order — state updates stay single-threaded and deterministic.
   void ingest(const metrics::Snapshot& snapshot, ApplicationClass label);
 
-  /// Same, from the detailed evidence of classify_detailed(): identical
-  /// label bookkeeping, plus — when a health aggregator is attached —
-  /// confidence/margin/novelty accounting and the drift feed.
+  /// Same, from a detailed batch's evidence (SnapshotBatch::detail):
+  /// identical label bookkeeping, plus — when a health aggregator is
+  /// attached — confidence/margin/novelty accounting and the drift feed.
   void ingest(const metrics::Snapshot& snapshot,
               const SnapshotClassification& detail);
 
@@ -245,6 +246,8 @@ class OnlineClassifier {
 
   const ClassificationPipeline& pipeline_;
   OnlineOptions options_;
+  /// observe()'s batch of one, grow-only like the fleet's drain batch.
+  SnapshotBatch batch_;
   ChangeCallback callback_;
   obs::ModelHealth* health_ = nullptr;
   /// Ordered by node_ip: export_state()'s deterministic encoding and the

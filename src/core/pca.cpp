@@ -109,19 +109,8 @@ void Pca::transform_rows(const linalg::Matrix& samples, std::size_t begin,
   APPCLASS_EXPECTS(begin <= end && end <= samples.rows());
   APPCLASS_EXPECTS(out.rows() == samples.rows() &&
                    out.cols() == projection_.cols());
-  const std::size_t q = projection_.cols();
-  std::vector<double> centered(projection_.rows());
-  for (std::size_t r = begin; r < end; ++r) {
-    auto row = samples.row(r);
-    for (std::size_t c = 0; c < centered.size(); ++c)
-      centered[c] = row[c] - mean_[c];
-    for (std::size_t j = 0; j < q; ++j) {
-      double s = 0.0;
-      for (std::size_t c = 0; c < centered.size(); ++c)
-        s += centered[c] * projection_(c, j);
-      out(r, j) = s;
-    }
-  }
+  for (std::size_t r = begin; r < end; ++r)
+    transform_into(samples.row(r), out.row(r).data(), 1);
 }
 
 std::vector<double> Pca::transform(std::span<const double> row) const {
@@ -137,9 +126,10 @@ void Pca::transform_into(std::span<const double> row, double* out,
   APPCLASS_EXPECTS(row.size() == projection_.rows());
   const std::size_t q = projection_.cols();
   for (std::size_t j = 0; j < q; ++j) {
-    out[j * stride] = 0.0;
+    double s = 0.0;
     for (std::size_t c = 0; c < row.size(); ++c)
-      out[j * stride] += (row[c] - mean_[c]) * projection_(c, j);
+      s += (row[c] - mean_[c]) * projection_(c, j);
+    out[j * stride] = s;
   }
 }
 

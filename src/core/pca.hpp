@@ -58,8 +58,9 @@ class Pca {
 
   /// Projects rows [begin, end) of `samples` into the same rows of `out`
   /// (pre-sized m x q) — the sharded form of transform(Matrix). Each row
-  /// is arithmetically independent, so any shard partition reassembles
-  /// to the exact transform(Matrix) result.
+  /// goes through transform_into, so pool and single-snapshot
+  /// projections agree by construction, and any shard partition
+  /// reassembles to the exact transform(Matrix) result.
   void transform_rows(const linalg::Matrix& samples, std::size_t begin,
                       std::size_t end, linalg::Matrix& out) const;
 
@@ -69,8 +70,9 @@ class Pca {
   /// Allocation-free form of transform(span): writes component j to
   /// out[j * stride] — stride 1 for a dense vector, or a QueryBlock's
   /// stride to project straight into the kernel's feature-major layout.
-  /// Identical accumulation order (component-outer, feature-inner, from
-  /// 0.0) — the vector overload delegates here.
+  /// Accumulates component-outer, feature-inner, from 0.0 — the only
+  /// projection arithmetic: the vector overload and transform_rows
+  /// delegate here.
   void transform_into(std::span<const double> row, double* out,
                       std::size_t stride) const;
 

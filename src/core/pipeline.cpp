@@ -1,8 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 
 #include "common/assert.hpp"
 #include "obs/log.hpp"
@@ -325,65 +323,23 @@ ClassificationResult ClassificationPipeline::classify(
 
 ApplicationClass ClassificationPipeline::classify(
     const metrics::Snapshot& snapshot) const {
-  APPCLASS_EXPECTS(trained_);
-  // Online hot path: a single relaxed counter increment (a few ns) — the
-  // stage wall-time histograms come from the batch path, keeping the
-  // per-snapshot latency unperturbed. The query goes straight to the
-  // blocked kernel with thread-local scratch — no per-query result
-  // allocation, same arithmetic as query().
-  pipeline_metrics().snapshots.inc();
+  // Online hot path: no stage histograms (they come from the batch path),
+  // just the snapshot counter begin_snapshot_batch bumps — and pooled
+  // scratch plus a grow-only per-thread batch, so a warm call allocates
+  // nothing.
+  thread_local SnapshotBatch one;
+  begin_snapshot_batch(one, 1, /*detailed=*/false);
   auto scratch = scratch_pool_->acquire();
-  scratch->row.resize(preprocessor_.dimension());
-  preprocessor_.transform_into(snapshot, scratch->row);
-  scratch->projected.resize(pca_.components());
-  pca_.transform_into(scratch->row, scratch->projected.data(), 1);
-  const engine::BlockedKnnIndex& index = knn_.index();
-  return index.vote(index.top_k(scratch->projected, scratch->kernel)).label;
-}
-
-SnapshotClassification ClassificationPipeline::classify_detailed(
-    const metrics::Snapshot& snapshot) const {
-  APPCLASS_EXPECTS(trained_);
-  // Identical arithmetic to classify(snapshot) — same transform chain,
-  // same kernel, same vote — plus the evidence the vote already holds:
-  // the hits carry the margin and novelty distance, the projection is
-  // the drift-detector feed. Keeping the two paths line-for-line in sync
-  // is what the bit-identity bench guard checks.
-  pipeline_metrics().snapshots.inc();
-  SnapshotClassification out;
-  out.projected = pca_.transform(preprocessor_.transform(snapshot));
-  auto scratch = scratch_pool_->acquire();
-  const engine::BlockedKnnIndex& index = knn_.index();
-  const auto hits = index.top_k(out.projected, scratch->kernel);
-  const engine::BlockedKnnIndex::Vote vote = index.vote(hits);
-  out.label = vote.label;
-  out.confidence = vote.share;
-
-  // Margin: winner minus runner-up vote count over k. Unanimous = 1.
-  std::array<int, kClassCount> votes{};
-  for (const auto& hit : hits) ++votes[index_of(index.labels()[hit.index])];
-  const int winner = votes[index_of(vote.label)];
-  int runner_up = 0;
-  for (std::size_t c = 0; c < kClassCount; ++c) {
-    if (c == index_of(vote.label)) continue;
-    runner_up = std::max(runner_up, votes[c]);
-  }
-  out.vote_margin = static_cast<double>(winner - runner_up) /
-                    static_cast<double>(hits.size());
-
-  // Hits are ascending by distance; squared L2 under Euclidean.
-  out.novelty = index.metric() == engine::DistanceMetric::kEuclidean
-                    ? std::sqrt(hits.front().distance)
-                    : hits.front().distance;
-  return out;
+  classify_snapshot_into(snapshot, one, 0, *scratch);
+  return one.label(0);
 }
 
 void ClassificationPipeline::begin_snapshot_batch(SnapshotBatch& batch,
                                                   std::size_t count,
                                                   bool detailed) const {
   APPCLASS_EXPECTS(trained_);
-  // One batched bump of the same counter classify(snapshot) ticks per
-  // call — identical totals, no per-snapshot atomic on the drain path.
+  // One bump per batch — the same totals as one per snapshot, with no
+  // per-snapshot atomic on the drain path.
   pipeline_metrics().snapshots.inc(count);
   batch.queries_.reset(pca_.components(), count);
   // Grow-only: shrinking would free the details' projected vectors and
@@ -399,41 +355,25 @@ void ClassificationPipeline::classify_snapshot_into(
     SnapshotScratch& scratch) const {
   APPCLASS_EXPECTS(trained_);
   APPCLASS_EXPECTS(i < batch.count_);
-  // Same transform chain, kernel arithmetic, and vote as
-  // classify(snapshot) / classify_detailed(snapshot) — the query point
-  // just lands in the batch's SoA block (strided) instead of a dense
-  // temporary, which cannot change any per-feature arithmetic. (The
-  // snapshot counter was bumped for the whole batch by
+  // The query point lands in the batch's SoA block (strided) rather
+  // than a dense row, which changes addresses only, never the per-feature
+  // arithmetic. (The snapshot counter was bumped for the whole batch by
   // begin_snapshot_batch.)
   scratch.row.resize(preprocessor_.dimension());
   preprocessor_.transform_into(snapshot, scratch.row);
   pca_.transform_into(scratch.row, batch.queries_.point(i),
                       batch.queries_.stride());
 
-  const engine::BlockedKnnIndex& index = knn_.index();
-  const auto hits = index.top_k(batch.queries_, i, scratch.kernel);
-  const engine::BlockedKnnIndex::Vote vote = index.vote(hits);
-  batch.labels_[i] = vote.label;
+  const KnnClassifier::Evidence ev =
+      knn_.evidence(knn_.index().top_k(batch.queries_, i, scratch.kernel));
+  batch.labels_[i] = ev.vote.label;
   if (!batch.detailed_) return;
 
   SnapshotClassification& detail = batch.details_[i];
-  detail.label = vote.label;
-  detail.confidence = vote.share;
-  // Margin: winner minus runner-up vote count over k — line-for-line
-  // classify_detailed().
-  std::array<int, kClassCount> votes{};
-  for (const auto& hit : hits) ++votes[index_of(index.labels()[hit.index])];
-  const int winner = votes[index_of(vote.label)];
-  int runner_up = 0;
-  for (std::size_t c = 0; c < kClassCount; ++c) {
-    if (c == index_of(vote.label)) continue;
-    runner_up = std::max(runner_up, votes[c]);
-  }
-  detail.vote_margin = static_cast<double>(winner - runner_up) /
-                       static_cast<double>(hits.size());
-  detail.novelty = index.metric() == engine::DistanceMetric::kEuclidean
-                       ? std::sqrt(hits.front().distance)
-                       : hits.front().distance;
+  detail.label = ev.vote.label;
+  detail.confidence = ev.vote.share;
+  detail.vote_margin = ev.margin;
+  detail.novelty = ev.novelty;
   detail.projected.resize(pca_.components());
   for (std::size_t j = 0; j < detail.projected.size(); ++j)
     detail.projected[j] = batch.queries_.at(i, j);

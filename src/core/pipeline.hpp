@@ -48,11 +48,16 @@ struct PipelineOptions {
   PcaOptions pca{.min_fraction_variance = 0.7, .forced_components = 2};
   /// k-NN settings (paper: k = 3, Euclidean).
   KnnOptions knn{};
-  /// Novelty threshold in PCA-space distance units: a snapshot farther
-  /// than this from EVERY training point is counted as novel (an
-  /// open-environment application unlike any trained behaviour). 0
-  /// disables novelty accounting. The trained clusters live within a few
-  /// units of each other (z-scored inputs), so ~2-4 is a useful range.
+  /// Novelty threshold. A snapshot's novelty score is its distance to
+  /// the nearest training point in PCA space, measured in the k-NN vote
+  /// metric: the L2 distance under kEuclidean, the L1 distance under
+  /// kManhattan (hits[0] of the vote's own scan). A snapshot whose score
+  /// exceeds the threshold — farther than this from EVERY training point
+  /// — is counted as novel (an open-environment application unlike any
+  /// trained behaviour). 0 disables novelty accounting. The trained
+  /// clusters live within a few units of each other (z-scored inputs), so
+  /// ~2-4 is a useful range under kEuclidean (an L1 distance is up to
+  /// sqrt(q) times its L2 distance).
   double novelty_threshold = 0.0;
   /// Execution width: 1 = serial (default), N = a pool of N worker
   /// threads, 0 = one worker per hardware core. Results are
@@ -71,8 +76,8 @@ struct ClassificationResult {
   /// Per-snapshot k-NN vote share of the winning class (in (0, 1]);
   /// 1.0 means a unanimous neighbourhood.
   std::vector<double> confidences;
-  /// Per-snapshot distance to the nearest training point (novelty
-  /// score); empty when novelty accounting is disabled.
+  /// Per-snapshot novelty score (see PipelineOptions::novelty_threshold);
+  /// empty when novelty accounting is disabled.
   std::vector<double> novelty;
   /// The novelty threshold the pipeline classified under (0 = disabled).
   double novelty_threshold = 0.0;
@@ -93,17 +98,17 @@ struct ClassificationResult {
 
 /// Per-snapshot classification evidence for the model-health layer: the
 /// label plus everything the vote already knew but the plain online path
-/// throws away. Produced by classify_detailed(); the label is computed by
-/// the identical arithmetic as classify(snapshot), so enabling the
-/// detailed path never changes classification output.
+/// throws away. Produced by classify_snapshot_into() on a detailed
+/// SnapshotBatch; the label comes from the same routine as on a
+/// label-only batch, so enabling the evidence never changes
+/// classification output.
 struct SnapshotClassification {
   ApplicationClass label = ApplicationClass::kIdle;
   /// Winning-class vote share in (0, 1]; 1.0 = unanimous neighbourhood.
   double confidence = 0.0;
   /// (winner votes - runner-up votes) / k, in [0, 1].
   double vote_margin = 0.0;
-  /// Distance to the nearest training point in PCA space (novelty
-  /// score, linear units).
+  /// Novelty score (see PipelineOptions::novelty_threshold).
   double novelty = 0.0;
   /// The snapshot's PCA-space coordinates (drift-detector feed).
   std::vector<double> projected;
@@ -114,8 +119,7 @@ struct SnapshotClassification {
 /// after the first query through it, classifying further snapshots of
 /// the same pipeline performs zero heap allocations.
 struct SnapshotScratch {
-  std::vector<double> row;        ///< preprocessor output (p doubles)
-  std::vector<double> projected;  ///< PCA output (q doubles)
+  std::vector<double> row;  ///< preprocessor output (p doubles)
   engine::BlockedKnnIndex::Scratch kernel;
 };
 
@@ -173,8 +177,9 @@ class SnapshotScratchPool {
   std::atomic<std::uint64_t> overflows_{0};
 };
 
-/// A drained batch of snapshots mid-classification: the query points in
-/// the kernel's feature-major SoA layout plus per-snapshot outputs.
+/// A batch of snapshots mid-classification (a fleet drain, or a caller's
+/// batch of one): the query points in the kernel's feature-major SoA
+/// layout plus per-snapshot outputs.
 /// Grow-only — reusing one batch across drains is what makes the stream
 /// path allocation-free once it has seen its largest drain.
 class SnapshotBatch {
@@ -217,27 +222,23 @@ class ClassificationPipeline {
   /// Classifies a full run (sharded over the execution context).
   ClassificationResult classify(const metrics::DataPool& pool) const;
 
-  /// Classifies one snapshot (online mode).
+  /// Classifies one snapshot (online mode): classify_snapshot_into() on
+  /// a label-only batch of one.
   ApplicationClass classify(const metrics::Snapshot& snapshot) const;
 
-  /// Classifies one snapshot and keeps the per-snapshot evidence (vote
-  /// share, margin, novelty distance, PCA coordinates) for the
-  /// model-health layer. Same label arithmetic as classify(snapshot).
-  SnapshotClassification classify_detailed(
-      const metrics::Snapshot& snapshot) const;
-
-  /// Batched streaming path (the fleet drain). Prepares `batch` for
-  /// `count` snapshots — `detailed` selects label-only or full-evidence
-  /// outputs — reusing all of its storage from previous batches.
+  /// Prepares `batch` for `count` snapshots — `detailed` selects
+  /// label-only or full-evidence (SnapshotClassification) outputs —
+  /// reusing all of its storage from previous batches. The fleet drain
+  /// passes its whole backlog; single-snapshot callers a batch of one.
   void begin_snapshot_batch(SnapshotBatch& batch, std::size_t count,
                             bool detailed) const;
 
-  /// Normalizes + projects `snapshot` straight into slot `i` of the
-  /// batch's feature-major query block and classifies it from there.
-  /// Bit-identical to classify(snapshot) / classify_detailed(snapshot):
-  /// same transform chain, same kernel arithmetic, same vote. Distinct
-  /// slots are independent — shards may call this concurrently with one
-  /// scratch per caller. Allocation-free after warmup.
+  /// THE per-snapshot classification routine: normalizes + projects
+  /// `snapshot` straight into slot `i` of the batch's feature-major query
+  /// block, runs the k-NN scan on it and votes. Label, vote share and
+  /// novelty match classify(pool) on the same snapshot bit for bit.
+  /// Distinct slots are independent — shards may call this concurrently
+  /// with one scratch per caller. Allocation-free after warmup.
   void classify_snapshot_into(const metrics::Snapshot& snapshot,
                               SnapshotBatch& batch, std::size_t i,
                               SnapshotScratch& scratch) const;

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -135,6 +136,11 @@ void IngestListener::accept_loop() {
     const timeval tv = to_timeval(options_.read_timeout_ms);
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+    // Acks are small writes answering the link's pipelined frames; with
+    // Nagle on, an ack queued behind an unacknowledged one waits for the
+    // peer's delayed ACK (~40 ms) before it leaves.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     conn_fd_.store(fd, std::memory_order_release);
     handle_connection(fd);
     const int prev = conn_fd_.exchange(-1, std::memory_order_acq_rel);

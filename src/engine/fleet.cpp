@@ -195,8 +195,8 @@ std::size_t FleetStream::drain() {
   // slots), then strictly serial ingestion in push order — the per-node
   // windows and debounce see exactly the sequence observe() would have.
   // With a health aggregator attached the batch keeps the full vote
-  // evidence per snapshot; the labels are computed by the identical
-  // arithmetic either way.
+  // evidence per snapshot; the labels come from the same routine either
+  // way.
   const bool detailed = online_.health() != nullptr;
   pipeline_.begin_snapshot_batch(batch_, n, detailed);
   if (!pipeline_.context()->pooled()) {

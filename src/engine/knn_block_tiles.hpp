@@ -1,10 +1,10 @@
-// SIMD-friendly tile primitives for the batched (QueryBlock) k-NN scan.
+// SIMD-friendly tile primitives for the blocked k-NN scan.
 //
 // These are the inner loops of BlockedKnnIndex::top_k_block, hoisted
 // into their own translation unit so they can be compiled with the
 // vectorizer fully enabled (and AVX2 function clones resolved at load
-// time) without touching the code generation of the reference span-query
-// path, which doubles as the kernel's ground truth.
+// time) without touching the code generation of engine::reference_top_k,
+// the kernel's scalar ground truth.
 //
 // Numerical contract: every helper performs exactly the element-wise
 // IEEE operations of the scalar reference loops — subtract, multiply,

@@ -97,39 +97,10 @@ double BlockedKnnIndex::tile_lower_bound(std::size_t t, double qnorm) const {
   return bound * kPruneSlack;
 }
 
-void BlockedKnnIndex::tile_distances(const double* q, std::size_t qstride,
-                                     std::size_t t0, std::size_t width,
-                                     std::vector<double>& acc) const {
-  // Vectorizes across the tile's points; each point's accumulator sees
-  // features in ascending order — the exact summation order of
-  // linalg::squared_distance / manhattan_distance. The query's stride
-  // only changes where feature j is loaded from, never the arithmetic.
-  std::fill(acc.begin(), acc.begin() + static_cast<std::ptrdiff_t>(width),
-            0.0);
-  double* const a = acc.data();
-  if (metric_ == DistanceMetric::kManhattan) {
-    for (std::size_t j = 0; j < dims_; ++j) {
-      const double qj = q[j * qstride];
-      const double* const col = features_.data() + j * padded_ + t0;
-      for (std::size_t i = 0; i < width; ++i)
-        a[i] += std::abs(col[i] - qj);
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < dims_; ++j) {
-    const double qj = q[j * qstride];
-    const double* const col = features_.data() + j * padded_ + t0;
-    for (std::size_t i = 0; i < width; ++i) {
-      const double d = col[i] - qj;
-      a[i] += d * d;
-    }
-  }
-}
-
 std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k(
     std::span<const double> q, Scratch& scratch) const {
   APPCLASS_EXPECTS(q.size() == dims_);
-  return top_k_strided(q.data(), 1, scratch);
+  return top_k_block(q.data(), 1, scratch);
 }
 
 std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k(
@@ -139,52 +110,15 @@ std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k(
   return top_k_block(block.point(i), block.stride(), scratch);
 }
 
-std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_strided(
-    const double* q, std::size_t qstride, Scratch& scratch) const {
-  APPCLASS_EXPECTS(built());
-  const std::size_t n = labels_.size();
-  const std::size_t k = std::min(k_, n);
-  scratch.acc.resize(kTile);
-  scratch.hits.resize(k);
-  Hit* const hits = scratch.hits.data();
-  std::size_t count = 0;
-  const double qnorm = query_norm(q, qstride);
-
-  for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
-    const std::size_t width = std::min(kTile, n - t0);
-    if (count == k &&
-        tile_lower_bound(t0 / kTile, qnorm) > hits[k - 1].distance) {
-      ++scratch.pruned_tiles;
-      continue;
-    }
-    tile_distances(q, qstride, t0, width, scratch.acc);
-    for (std::size_t i = 0; i < width; ++i) {
-      const double d = scratch.acc[i];
-      // Candidates arrive in ascending index, so a distance tie keeps
-      // the incumbent — the (distance, index) pair order of the seed's
-      // partial_sort.
-      if (count == k && d >= hits[k - 1].distance) continue;
-      std::size_t pos = count < k ? count : k - 1;
-      while (pos > 0 && d < hits[pos - 1].distance) {
-        hits[pos] = hits[pos - 1];
-        --pos;
-      }
-      hits[pos] =
-          Hit{d, static_cast<std::uint32_t>(t0 + i)};
-      if (count < k) ++count;
-    }
-  }
-  return {hits, count};
-}
-
-void BlockedKnnIndex::tile_distances_nofill(const double* q,
-                                            std::size_t qstride,
-                                            std::size_t t0, std::size_t width,
-                                            std::vector<double>& acc) const {
-  // Same per-point accumulation as tile_distances, but the first feature
-  // stores instead of adding into a zeroed array (every per-feature term
-  // is non-negative, so 0 + term == term bit for bit and the zeroing
-  // pass is pure overhead), and the per-feature sweeps run through the
+void BlockedKnnIndex::tile_distances(const double* q, std::size_t qstride,
+                                     std::size_t t0, std::size_t width,
+                                     std::vector<double>& acc) const {
+  // Each point's accumulator sees features in ascending order — the
+  // exact summation order of linalg::squared_distance /
+  // manhattan_distance; the query's stride only changes where feature j
+  // is loaded from. The first feature stores instead of adding into a
+  // zeroed array (every per-feature term is non-negative, so 0 + term ==
+  // term bit for bit), and the per-feature sweeps run through the
   // vectorized blocktiles primitives.
   double* const a = acc.data();
   if (metric_ == DistanceMetric::kManhattan) {
@@ -255,7 +189,7 @@ std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_block(
       ++scratch.pruned_tiles;
       continue;
     }
-    tile_distances_nofill(q, qstride, t0, width, scratch.acc);
+    tile_distances(q, qstride, t0, width, scratch.acc);
     const double* const a = scratch.acc.data();
     const std::size_t blocks = width / kChunk;
     if (blocks > 0) {
@@ -287,27 +221,6 @@ std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_block(
       consider(a[i], t0 + i);
   }
   return {hits, count};
-}
-
-double BlockedKnnIndex::nearest_distance(std::span<const double> q,
-                                         Scratch& scratch) const {
-  APPCLASS_EXPECTS(built());
-  APPCLASS_EXPECTS(q.size() == dims_);
-  const std::size_t n = labels_.size();
-  scratch.acc.resize(kTile);
-  double best = std::numeric_limits<double>::infinity();
-  const double qnorm = query_norm(q.data(), 1);
-  for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
-    const std::size_t width = std::min(kTile, n - t0);
-    if (tile_lower_bound(t0 / kTile, qnorm) > best) {
-      ++scratch.pruned_tiles;
-      continue;
-    }
-    tile_distances(q.data(), 1, t0, width, scratch.acc);
-    for (std::size_t i = 0; i < width; ++i)
-      best = std::min(best, scratch.acc[i]);
-  }
-  return best;
 }
 
 BlockedKnnIndex::Vote BlockedKnnIndex::vote(std::span<const Hit> hits) const {

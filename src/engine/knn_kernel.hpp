@@ -101,8 +101,8 @@ class BlockedKnnIndex {
   struct Scratch {
     std::vector<double> acc;
     std::vector<Hit> hits;
-    /// Per-8-candidate chunk minima of `acc`, filled by the batched scan
-    /// so its selection loop can skip whole chunks (see top_k_block).
+    /// Per-8-candidate chunk minima of `acc`, filled by the scan so its
+    /// selection loop can skip whole chunks (see top_k_block).
     std::vector<double> chunk_mins;
     /// Tiles skipped by the norm-bound prune since construction (or the
     /// caller's last reset); accumulates across queries so shard spans
@@ -128,51 +128,33 @@ class BlockedKnnIndex {
   }
 
   /// The k nearest training points of `q`, ascending (distance, index);
-  /// the returned span lives in `scratch`.
+  /// the returned span lives in `scratch`. hits[0] is the nearest
+  /// training point overall (the novelty distance).
   std::span<const Hit> top_k(std::span<const double> q,
                              Scratch& scratch) const;
 
   /// Same query, reading point `i` of a feature-major QueryBlock in
-  /// place (stride = block.stride()). This is the batched-ingest entry
-  /// point: it runs the tuned block scan (no-fill distance tiles plus a
-  /// branch-free threshold filter over the selection sweep), which is
-  /// bit-identical to the span overload on the same coordinates — the
-  /// per-feature arithmetic, candidate order, and tie handling are the
-  /// reference scan's, only provably-skippable work is skipped.
+  /// place (stride = block.stride()) — the batched-ingest entry point.
+  /// Both overloads run the one scan (top_k_block), so a point answers
+  /// identically whichever layout holds it.
   std::span<const Hit> top_k(const QueryBlock& block, std::size_t i,
                              Scratch& scratch) const;
-
-  /// Metric-space distance to the single nearest training point
-  /// (squared L2 under Euclidean — take sqrt for the novelty score).
-  double nearest_distance(std::span<const double> q,
-                          Scratch& scratch) const;
 
   /// Majority vote over hits; ties break by summed inverse rank (nearer
   /// neighbours win), matching the seed classifier.
   Vote vote(std::span<const Hit> hits) const;
 
  private:
-  /// Shared strided implementation: feature j of the query at
-  /// q[j * qstride]. The span path passes qstride = 1, the QueryBlock
-  /// path its stride — per-feature arithmetic and order are identical.
-  std::span<const Hit> top_k_strided(const double* q, std::size_t qstride,
-                                     Scratch& scratch) const;
-  /// The tuned scan behind the QueryBlock overload. Output-identical to
-  /// top_k_strided; faster on drain-sized batches because the selection
-  /// sweep tests candidate runs against the current k-th distance with a
-  /// branch-free compare-OR before touching the insertion loop, and the
-  /// distance tiles skip their zeroing pass.
+  /// The scan behind both top_k overloads: feature j of the query at
+  /// q[j * qstride] (1 for a span, the block's stride for a QueryBlock).
+  /// Per-feature arithmetic and tie handling are reference_top_k's; it
+  /// only skips provably-irrelevant work — pruned tiles, and selection
+  /// chunks whose minimum cannot beat the current k-th distance.
   std::span<const Hit> top_k_block(const double* q, std::size_t qstride,
                                    Scratch& scratch) const;
   /// Computes distances of points [t0, t0+width) into scratch.acc.
   void tile_distances(const double* q, std::size_t qstride, std::size_t t0,
                       std::size_t width, std::vector<double>& acc) const;
-  /// tile_distances with the first feature storing instead of adding
-  /// into a zeroed accumulator (0 + term == term for the non-negative
-  /// per-feature terms, so results are bit-identical).
-  void tile_distances_nofill(const double* q, std::size_t qstride,
-                             std::size_t t0, std::size_t width,
-                             std::vector<double>& acc) const;
   /// Reverse-triangle-inequality lower bound of tile t for a query of
   /// norm `qnorm` (metric space: squared for L2), slackened for FP
   /// safety; 0 when the tile cannot be pruned.

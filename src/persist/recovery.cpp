@@ -57,20 +57,24 @@ RecoveryReport recover(const std::string& state_dir,
     rm.corrupt_checkpoints.inc(checkpoint->corrupt_skipped);
   }
 
-  // Replay the tail through the exact drain arithmetic: classify (with
-  // health evidence when an aggregator is attached) then serial ingest in
-  // sequence order. The WAL holds only grid-aligned accepted snapshots,
-  // so every record ingests.
+  // Replay the tail through the drain's own routine, one record at a
+  // time: classify (with health evidence when an aggregator is attached)
+  // then serial ingest in sequence order. The WAL holds only grid-aligned
+  // accepted snapshots, so every record ingests; ingest() still aborts on
+  // an off-grid one.
   report.wal_next_seq = report.checkpoint_wal_next;
+  const bool detailed = online.health() != nullptr;
+  core::SnapshotBatch batch;
+  auto scratch = pipeline.acquire_scratch();
   const WalScan scan = replay_wal(
       state_dir + "/wal", report.checkpoint_wal_next,
       [&](const WalRecord& record) {
-        if (online.health() != nullptr) {
-          online.ingest(record.snapshot,
-                        pipeline.classify_detailed(record.snapshot));
-        } else {
-          online.ingest(record.snapshot, pipeline.classify(record.snapshot));
-        }
+        pipeline.begin_snapshot_batch(batch, 1, detailed);
+        pipeline.classify_snapshot_into(record.snapshot, batch, 0, *scratch);
+        if (detailed)
+          online.ingest(record.snapshot, batch.detail(0));
+        else
+          online.ingest(record.snapshot, batch.label(0));
         report.wal_next_seq = record.seq + 1;
       });
   report.replayed = scan.records;

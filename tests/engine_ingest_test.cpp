@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -344,30 +345,50 @@ TEST_F(FleetIngestTest, BacklogPeakIsStickyAcrossDrainsAndResetByAttach) {
 // --- Batched classification bit-identity -----------------------------------
 
 TEST_F(FleetIngestTest, BatchPathMatchesPerSnapshotClassify) {
-  std::vector<metrics::Snapshot> mixed;
-  for (std::size_t c = 0; c < core::kClassCount; ++c) {
-    const auto part = stream(core::class_from_index(c), 12,
-                             static_cast<metrics::SimTime>(c) * 1000);
-    mixed.insert(mixed.end(), part.begin(), part.end());
-  }
+  // One pool of every class; the batch path, the per-snapshot view and
+  // the sharded pool path must agree on every output they share, under
+  // both vote metrics and with novelty accounting on.
+  metrics::DataPool pool("10.0.0.1");
+  for (std::size_t c = 0; c < core::kClassCount; ++c)
+    for (auto& snapshot : stream(core::class_from_index(c), 12,
+                                 static_cast<metrics::SimTime>(c) * 1000))
+      pool.add(std::move(snapshot));
+  const std::span<const metrics::Snapshot> mixed = pool.snapshots();
 
-  for (const bool detailed : {false, true}) {
-    core::SnapshotBatch batch;
-    pipeline_->begin_snapshot_batch(batch, mixed.size(), detailed);
-    auto scratch = pipeline_->acquire_scratch();
-    for (std::size_t i = 0; i < mixed.size(); ++i)
-      pipeline_->classify_snapshot_into(mixed[i], batch, i, *scratch);
+  for (const auto metric :
+       {core::DistanceMetric::kEuclidean, core::DistanceMetric::kManhattan}) {
+    core::PipelineOptions options;
+    options.knn.metric = metric;
+    options.novelty_threshold = 3.0;
+    core::ClassificationPipeline pipeline(options);
+    pipeline.train(core::testing::synthetic_training());
+    const core::ClassificationResult pooled = pipeline.classify(pool);
+    ASSERT_EQ(pooled.novelty.size(), mixed.size());
 
-    for (std::size_t i = 0; i < mixed.size(); ++i) {
-      EXPECT_EQ(batch.label(i), pipeline_->classify(mixed[i])) << "i=" << i;
-      if (!detailed) continue;
-      const core::SnapshotClassification expect =
-          pipeline_->classify_detailed(mixed[i]);
-      EXPECT_EQ(batch.detail(i).label, expect.label) << "i=" << i;
-      EXPECT_EQ(batch.detail(i).confidence, expect.confidence) << "i=" << i;
-      EXPECT_EQ(batch.detail(i).vote_margin, expect.vote_margin) << "i=" << i;
-      EXPECT_EQ(batch.detail(i).novelty, expect.novelty) << "i=" << i;
-      EXPECT_EQ(batch.detail(i).projected, expect.projected) << "i=" << i;
+    for (const bool detailed : {false, true}) {
+      core::SnapshotBatch batch;
+      pipeline.begin_snapshot_batch(batch, mixed.size(), detailed);
+      auto scratch = pipeline.acquire_scratch();
+      for (std::size_t i = 0; i < mixed.size(); ++i)
+        pipeline.classify_snapshot_into(mixed[i], batch, i, *scratch);
+
+      for (std::size_t i = 0; i < mixed.size(); ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << "metric=" << static_cast<int>(metric)
+                     << " detailed=" << detailed << " i=" << i);
+        EXPECT_EQ(batch.label(i), pipeline.classify(mixed[i]));
+        EXPECT_EQ(batch.label(i), pooled.class_vector[i]);
+        if (!detailed) continue;
+        const core::SnapshotClassification& detail = batch.detail(i);
+        EXPECT_EQ(detail.label, batch.label(i));
+        EXPECT_EQ(detail.confidence, pooled.confidences[i]);
+        EXPECT_EQ(detail.novelty, pooled.novelty[i]);
+        ASSERT_EQ(detail.projected.size(), pooled.projected.cols());
+        for (std::size_t j = 0; j < detail.projected.size(); ++j)
+          EXPECT_EQ(detail.projected[j], pooled.projected(i, j));
+        EXPECT_GE(detail.vote_margin, 0.0);
+        EXPECT_LE(detail.vote_margin, detail.confidence);
+      }
     }
   }
 }

@@ -55,6 +55,32 @@ class HealthPipelineTest : public ::testing::Test {
     return stream;
   }
 
+  /// Per-snapshot evidence for `snapshots`: one caller-owned detailed
+  /// batch through the pipeline's classify_snapshot_into.
+  static core::SnapshotBatch detailed_batch(
+      const std::vector<metrics::Snapshot>& snapshots) {
+    core::SnapshotBatch batch;
+    pipeline_->begin_snapshot_batch(batch, snapshots.size(),
+                                    /*detailed=*/true);
+    auto scratch = pipeline_->acquire_scratch();
+    for (std::size_t i = 0; i < snapshots.size(); ++i)
+      pipeline_->classify_snapshot_into(snapshots[i], batch, i, *scratch);
+    return batch;
+  }
+
+  /// The snapshots' PCA coordinates, flattened row after row (the drift
+  /// reference layout).
+  static std::vector<double> projected_rows(
+      const std::vector<metrics::Snapshot>& snapshots) {
+    const core::SnapshotBatch batch = detailed_batch(snapshots);
+    std::vector<double> rows;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const auto& projected = batch.detail(i).projected;
+      rows.insert(rows.end(), projected.begin(), projected.end());
+    }
+    return rows;
+  }
+
   static core::ClassificationPipeline* pipeline_;
   static std::vector<core::RecordedRun>* runs_;
 };
@@ -64,12 +90,14 @@ std::vector<core::RecordedRun>* HealthPipelineTest::runs_ = nullptr;
 
 TEST_F(HealthPipelineTest, DetailedClassifyMatchesPlainClassify) {
   for (const auto& run : *runs_) {
-    for (std::size_t i = 0; i < run.announcements.size(); i += 7) {
-      const auto& snapshot = run.announcements[i];
-      const core::ApplicationClass plain = pipeline_->classify(snapshot);
-      const core::SnapshotClassification detail =
-          pipeline_->classify_detailed(snapshot);
-      ASSERT_EQ(detail.label, plain) << run.workload << " @ " << i;
+    std::vector<metrics::Snapshot> sampled;
+    for (std::size_t i = 0; i < run.announcements.size(); i += 7)
+      sampled.push_back(run.announcements[i]);
+    const core::SnapshotBatch batch = detailed_batch(sampled);
+    for (std::size_t i = 0; i < sampled.size(); ++i) {
+      const core::ApplicationClass plain = pipeline_->classify(sampled[i]);
+      const core::SnapshotClassification& detail = batch.detail(i);
+      ASSERT_EQ(detail.label, plain) << run.workload << " @ " << 7 * i;
       EXPECT_GT(detail.confidence, 0.0);
       EXPECT_LE(detail.confidence, 1.0);
       EXPECT_GE(detail.vote_margin, 0.0);
@@ -136,17 +164,8 @@ TEST_F(HealthPipelineTest, DriftStaysSilentOnStationaryCanonicalStream) {
   // itself, so replaying that same stream is stationary by construction
   // (the self-freezing path is covered by the unit tests).
   const std::vector<metrics::Snapshot> stream = grid_stream(1, 700);
-  std::vector<double> reference;
-  reference.reserve(2 * stream.size());
-  std::size_t components = 0;
-  for (const auto& snapshot : stream) {
-    const core::SnapshotClassification detail =
-        pipeline_->classify_detailed(snapshot);
-    components = detail.projected.size();
-    reference.insert(reference.end(), detail.projected.begin(),
-                     detail.projected.end());
-  }
-  health.set_drift_reference(reference, components);
+  health.set_drift_reference(projected_rows(stream),
+                             pipeline_->pca().components());
 
   for (const auto& snapshot : stream) classifier.observe(snapshot);
   EXPECT_EQ(health.drift_events(), 0u)
@@ -163,16 +182,8 @@ TEST_F(HealthPipelineTest, DriftFiresOnPhaseChangeStream) {
 
   // Same reference as the stationary test: run 1's projected stream.
   const std::vector<metrics::Snapshot> base = grid_stream(1, 700);
-  std::vector<double> reference;
-  std::size_t components = 0;
-  for (const auto& snapshot : base) {
-    const core::SnapshotClassification detail =
-        pipeline_->classify_detailed(snapshot);
-    components = detail.projected.size();
-    reference.insert(reference.end(), detail.projected.begin(),
-                     detail.projected.end());
-  }
-  health.set_drift_reference(reference, components);
+  health.set_drift_reference(projected_rows(base),
+                             pipeline_->pca().components());
 
   // Synthetic phase change: the node behaves like run 1, then switches
   // to run 3's behaviour class mid-stream.
