@@ -1,6 +1,8 @@
 // Model-health overhead: cost of the health aggregator and the online
 // drift detector on the streaming classification path, written as
-// BENCH_health.json for the CI gate (drift_overhead must stay < 1.02).
+// BENCH_health.json for the CI gate (drift_ns_per_sample must stay
+// <= 32 ns, 2% of the ~1.6 us/sample classify cost the gate was first
+// calibrated against).
 //
 //   health_overhead [--quick] [--out=BENCH_health.json]
 //
@@ -11,13 +13,15 @@
 //   health        ModelHealth attached, drift feed disabled
 //   health_drift  ModelHealth attached, drift detector live
 //
-// health_overhead = health_drift / baseline (the full layer's cost) and
-// drift_overhead = 1 + (drift observe() cost per sample) / (baseline
-// classify cost per sample). The drift cost is measured directly — a
-// tight loop feeding the detector the stream's own projected rows —
-// because estimating a ~1% delta as the ratio of two large noisy
-// end-to-end totals amplifies machine noise ~100x; the direct loop's
-// minimum over reps is stable to well under the 2% gate. The labels of
+// health_overhead = health_drift / baseline (the full layer's cost),
+// drift_ns_per_sample = the drift detector's observe() cost (the gated
+// number: an absolute cost, so a faster classify cannot fail it), and
+// drift_overhead = 1 + drift_ns_per_sample / (baseline classify cost per
+// sample). The drift cost is measured directly — a tight loop feeding
+// the detector the stream's own projected rows — because estimating a
+// ~1% delta as the ratio of two large noisy end-to-end totals amplifies
+// machine noise ~100x; the direct loop's minimum over reps is stable to
+// a few ns. The labels of
 // all three passes must be bit-identical — the health layer is
 // observational by contract, and this bench is the guard on that
 // contract.
@@ -225,6 +229,8 @@ int main(int argc, char** argv) {
     return best;
   }();
   const double drift_overhead = 1.0 + drift_fraction;
+  const double drift_ns_per_sample =
+      1e9 * drift_seconds / static_cast<double>(stream.size());
   std::printf("\nhealth overhead (health_drift/baseline): %.3fx\n",
               health_overhead);
   std::printf("end-to-end drift ratio (health_drift/health): %.3fx\n",
@@ -232,7 +238,7 @@ int main(int argc, char** argv) {
   std::printf(
       "drift overhead (direct: %.1f ns/sample on %.1f ns/sample classify): "
       "%.4fx\n",
-      1e9 * drift_seconds / static_cast<double>(stream.size()),
+      drift_ns_per_sample,
       1e9 * base_min / static_cast<double>(stream.size()), drift_overhead);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -244,6 +250,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(out, "  \"health_overhead\": %.4f,\n", health_overhead);
   std::fprintf(out, "  \"drift_overhead\": %.4f,\n", drift_overhead);
+  std::fprintf(out, "  \"drift_ns_per_sample\": %.2f,\n",
+               drift_ns_per_sample);
   std::fprintf(out, "  \"bit_identical\": true,\n");
   std::fprintf(out, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -1,71 +1,58 @@
 #include "dist/serving.hpp"
 
-#include <sys/stat.h>
+#include <pthread.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "core/class_label.hpp"
-#include "core/robustness.hpp"
-#include "core/serialize.hpp"
-#include "dist/http.hpp"
-#include "dist/ingest.hpp"
-#include "dist/link.hpp"
-#include "dist/shard.hpp"
-#include "engine/fleet.hpp"
-#include "monitor/bus.hpp"
-#include "obs/cardinality.hpp"
-#include "obs/export.hpp"
-#include "obs/federate.hpp"
-#include "obs/health.hpp"
+#include "dist/replay.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
-#include "obs/scrape.hpp"
-#include "obs/slo.hpp"
-#include "obs/trace.hpp"
-#include "persist/checkpoint.hpp"
-#include "persist/recovery.hpp"
 #include "persist/supervisor.hpp"
 
 namespace appclass::serving {
 
 namespace {
 
-/// Graceful-shutdown request flag, set by SIGTERM/SIGINT. Every mode's
-/// loop polls it; shutdown then drains, flushes the WAL / the links,
-/// writes a final checkpoint, and exits 0 (so a supervisor treating the
-/// forwarded SIGTERM as "please stop" sees a clean exit, not a crash).
-volatile std::sig_atomic_t g_serve_stop = 0;
+constexpr std::string_view kCompositionHeader = "appclass-composition v1";
 
-void handle_serve_signal(int) { g_serve_stop = 1; }
+/// Snapshots announced per run per replay cycle (the historical serve
+/// loop's batch size, shared by single and coordinator modes so their
+/// per-node announce orders match exactly).
+constexpr std::size_t kAnnouncesPerCycle = 32;
 
-void install_serve_signals() {
-  g_serve_stop = 0;
-  std::signal(SIGTERM, handle_serve_signal);
-  std::signal(SIGINT, handle_serve_signal);
+/// --mode spellings, in ServeMode order.
+constexpr std::string_view kModeNames[] = {"single", "worker", "coordinator"};
+
+/// The component ServeApp::run_mode is running; its SIGTERM/SIGINT
+/// handler only flips that component's stop request.
+std::atomic<Component*> g_signal_target{nullptr};
+
+void request_stop_on_signal(int) {
+  if (Component* component = g_signal_target.load()) component->request_stop();
 }
 
-/// Digits-only integer parse for flag/env values. Deliberately stricter
-/// than strtoll, which accepts leading whitespace and a sign — so
-/// "--shard-port= 80", "+80", or "-1" read as valid ports/counts. Every
-/// value parsed here is a count, port, or ordinal: non-negative by
-/// definition, so only [0-9]+ is well-formed. Length-capped below
-/// LLONG_MAX's 19 digits, so overflow cannot occur.
-std::optional<long long> parse_int(const std::string& text) {
+void export_restart_ordinal() {
+  // Under --supervised the watchdog's registry lives in another process;
+  // the restart ordinal reaches the worker's /metrics via environment.
+  if (const char* env = std::getenv(persist::kRestartsEnvVar)) {
+    if (const auto ordinal = parse_count(env))
+      obs::MetricsRegistry::global()
+          .gauge("appclass_supervised_restart_ordinal")
+          .set(static_cast<double>(*ordinal));
+  }
+}
+
+}  // namespace
+
+std::optional<long long> parse_count(std::string_view text) {
   if (text.empty() || text.size() > 18) return std::nullopt;
   long long v = 0;
   for (const char ch : text) {
@@ -83,58 +70,23 @@ std::vector<std::string> split_list(const std::string& text, char sep) {
   return out;
 }
 
-constexpr std::string_view kCompositionHeader = "appclass-composition v1";
-
-/// Snapshots announced per run per replay cycle (the historical serve
-/// loop's batch size, kept identical across single and coordinator modes
-/// so their per-node announce orders match exactly).
-constexpr std::size_t kAnnouncesPerCycle = 32;
-
-void export_restart_ordinal() {
-  // Under --supervised the watchdog's registry lives in another process;
-  // the restart ordinal reaches the worker's /metrics via environment.
-  if (const char* env = std::getenv(persist::kRestartsEnvVar)) {
-    if (const auto ordinal = parse_int(env); ordinal && *ordinal >= 0)
-      obs::MetricsRegistry::global()
-          .gauge("appclass_supervised_restart_ordinal")
-          .set(static_cast<double>(*ordinal));
+const IntFlag* parse_int_flag(std::span<const IntFlag> table,
+                              const std::string& flag, const char* prefix,
+                              bool& bad) {
+  for (const IntFlag& row : table) {
+    if (flag.rfind(row.name, 0) != 0) continue;
+    const std::string text = flag.substr(row.name.size());
+    const auto value = parse_count(text);
+    bad = !value || *value < row.min || *value > row.max;
+    if (bad)
+      std::fprintf(stderr, "%sbad %s '%s'%s\n", prefix, row.what,
+                   text.c_str(), row.hint);
+    else
+      *row.field = *value;
+    return &row;
   }
+  return nullptr;
 }
-
-std::string label_name(core::ApplicationClass c) {
-  return std::string(core::to_string(c));
-}
-
-/// Plain-text app-DB view: one "ip class" line per node, the class being
-/// the debounced stable class ("-" while undecided). Deterministic
-/// (export_state node order), so the coordinator can merge by sorting.
-std::string appdb_text(const core::OnlineStateImage& state) {
-  std::string out;
-  for (const auto& node : state.nodes) {
-    out += node.node_ip;
-    out += ' ';
-    out += node.stable_class ? label_name(*node.stable_class) : "-";
-    out += '\n';
-  }
-  return out;
-}
-
-/// Plain-text per-class sample counts ("name count" per line, class
-/// order) — the distilled scorecard a worker exposes on /shard/classes
-/// for the coordinator's merged /classes.
-std::string shard_classes_text(const obs::ModelHealth& health) {
-  const auto counts = health.class_sample_counts();
-  std::string out;
-  for (std::size_t i = 0; i < counts.size() && i < core::kClassCount; ++i) {
-    out += core::kClassNames[i];
-    out += ' ';
-    out += std::to_string(counts[i]);
-    out += '\n';
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string replay_node_ip(std::size_t run_index) {
   return "10.0." + std::to_string(run_index) + ".1";
@@ -152,8 +104,8 @@ std::string composition_text(const core::OnlineClassifier& online) {
     char coverage[32];
     std::snprintf(coverage, sizeof coverage, "%.17g", node.coverage);
     out << coverage << " stable "
-        << (node.stable_class ? label_name(*node.stable_class) : "-")
-        << " candidate " << label_name(node.candidate) << " streak "
+        << (node.stable_class ? core::to_string(*node.stable_class) : "-")
+        << " candidate " << core::to_string(node.candidate) << " streak "
         << node.candidate_streak << " window ";
     if (node.window.empty()) {
       out << '-';
@@ -161,7 +113,7 @@ std::string composition_text(const core::OnlineClassifier& online) {
       for (std::size_t i = 0; i < node.window.size(); ++i) {
         if (i) out << ',';
         out << node.window[i].first << ':'
-            << label_name(node.window[i].second);
+            << core::to_string(node.window[i].second);
       }
     }
     out << '\n';
@@ -181,7 +133,7 @@ std::string merge_composition_texts(const std::vector<std::string>& parts) {
     for (const char* key : {"classified ", "abstained "}) {
       if (!std::getline(in, line) || line.rfind(key, 0) != 0)
         throw std::runtime_error("merge: missing counter line");
-      const auto value = parse_int(line.substr(std::strlen(key)));
+      const auto value = parse_count(line.substr(std::strlen(key)));
       if (!value || *value < 0)
         throw std::runtime_error("merge: bad counter value");
       (key[0] == 'c' ? classified : abstained) +=
@@ -214,73 +166,53 @@ ParseResult parse_serve_args(const std::string& model_path,
                              const std::vector<std::string>& flags) {
   ServeOptions config;
   config.model_path = model_path;
-  bool saw_fleet_flag = false;
+  long long sync_every = static_cast<long long>(config.wal.sync_every);
+  constexpr unsigned kCoordinatorOnly = mode_bit(ServeMode::kCoordinator);
+  constexpr long long kAny = std::numeric_limits<long long>::max();
+  const IntFlag int_flags[] = {
+      {"--drift-window=", &config.drift_window, 0, kAny, "drift window"},
+      {"--port=", &config.port, 0, 65535, "port"},
+      {"--ingest-port=", &config.ingest_port, 0, 65535, "ingest port"},
+      {"--duration=", &config.duration_s, 0, kAny, "duration"},
+      {"--cycles=", &config.cycles, 0, kAny, "cycle count"},
+      {"--sync-every=", &sync_every, 1, kAny, "sync interval"},
+      {"--checkpoint-every=", &config.checkpoint_every, 1, kAny,
+       "checkpoint interval"},
+      {"--max-backlog=", &config.max_backlog, 0, kAny, "backlog bound"},
+      {"--fleet-scrape-every=", &config.fleet_scrape_every_ms, 1, kAny,
+       "fleet scrape period", "", kCoordinatorOnly},
+      {"--slo-freshness-ms=", &config.slo_freshness_ms, 1, kAny,
+       "freshness threshold", "", kCoordinatorOnly},
+      {"--slo-window=", &config.slo_window_s, 1, 86400, "SLO window",
+       " (seconds, <= 1d)", kCoordinatorOnly},
+      {"--slo-objective=", &config.slo_objective_pct, 1, 99,
+       "SLO objective", " (percent, 1-99)", kCoordinatorOnly},
+  };
+  unsigned seen_modes = ~0u;  // modes every flag seen so far applies to
   for (const auto& flag : flags) {
-    if (flag.rfind("--mode=", 0) == 0) {
+    bool bad = false;
+    if (const IntFlag* row = parse_int_flag(int_flags, flag, "serve: ", bad)) {
+      if (bad) return {};
+      seen_modes &= row->modes;
+    } else if (flag.rfind("--mode=", 0) == 0) {
       const std::string name = flag.substr(std::strlen("--mode="));
-      if (name == "single") {
-        config.mode = ServeMode::kSingle;
-      } else if (name == "worker") {
-        config.mode = ServeMode::kWorker;
-      } else if (name == "coordinator") {
-        config.mode = ServeMode::kCoordinator;
-      } else {
+      const auto* mode = std::find(kModeNames, std::end(kModeNames), name);
+      if (mode == std::end(kModeNames)) {
         std::fprintf(stderr,
                      "serve: bad mode '%s' (expected single, worker, "
                      "coordinator)\n",
                      name.c_str());
         return {};
       }
-    } else if (flag.rfind("--drift-window=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--drift-window=")));
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "serve: bad drift window '%s'\n",
-                     flag.substr(std::strlen("--drift-window=")).c_str());
-        return {};
-      }
-      config.drift_window = *parsed;
-    } else if (flag.rfind("--port=", 0) == 0) {
-      const auto parsed = parse_int(flag.substr(std::strlen("--port=")));
-      if (!parsed || *parsed < 0 || *parsed > 65535) {
-        std::fprintf(stderr, "serve: bad port '%s'\n",
-                     flag.substr(std::strlen("--port=")).c_str());
-        return {};
-      }
-      config.port = *parsed;
-    } else if (flag.rfind("--ingest-port=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--ingest-port=")));
-      if (!parsed || *parsed < 0 || *parsed > 65535) {
-        std::fprintf(stderr, "serve: bad ingest port '%s'\n",
-                     flag.substr(std::strlen("--ingest-port=")).c_str());
-        return {};
-      }
-      config.ingest_port = *parsed;
-    } else if (flag.rfind("--duration=", 0) == 0) {
-      const auto parsed = parse_int(flag.substr(std::strlen("--duration=")));
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "serve: bad duration '%s'\n",
-                     flag.substr(std::strlen("--duration=")).c_str());
-        return {};
-      }
-      config.duration_s = *parsed;
-    } else if (flag.rfind("--cycles=", 0) == 0) {
-      const auto parsed = parse_int(flag.substr(std::strlen("--cycles=")));
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "serve: bad cycle count '%s'\n",
-                     flag.substr(std::strlen("--cycles=")).c_str());
-        return {};
-      }
-      config.cycles = *parsed;
+      config.mode = static_cast<ServeMode>(mode - kModeNames);
     } else if (flag.rfind("--workers=", 0) == 0) {
       for (const std::string& token :
            split_list(flag.substr(std::strlen("--workers=")), ',')) {
         const auto ports = split_list(token, ':');
         std::optional<long long> scrape, ingest;
         if (ports.size() == 2) {
-          scrape = parse_int(ports[0]);
-          ingest = parse_int(ports[1]);
+          scrape = parse_count(ports[0]);
+          ingest = parse_count(ports[1]);
         }
         if (!scrape || !ingest || *scrape < 1 || *scrape > 65535 ||
             *ingest < 1 || *ingest > 65535) {
@@ -316,75 +248,6 @@ ParseResult parse_serve_args(const std::string& model_path,
         return {};
       }
       config.wal.fsync = *policy;
-    } else if (flag.rfind("--sync-every=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--sync-every=")));
-      if (!parsed || *parsed < 1) {
-        std::fprintf(stderr, "serve: bad sync interval '%s'\n",
-                     flag.substr(std::strlen("--sync-every=")).c_str());
-        return {};
-      }
-      config.wal.sync_every = static_cast<std::size_t>(*parsed);
-    } else if (flag.rfind("--checkpoint-every=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--checkpoint-every=")));
-      if (!parsed || *parsed < 1) {
-        std::fprintf(stderr, "serve: bad checkpoint interval '%s'\n",
-                     flag.substr(std::strlen("--checkpoint-every=")).c_str());
-        return {};
-      }
-      config.checkpoint_every = *parsed;
-    } else if (flag.rfind("--max-backlog=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--max-backlog=")));
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "serve: bad backlog bound '%s'\n",
-                     flag.substr(std::strlen("--max-backlog=")).c_str());
-        return {};
-      }
-      config.max_backlog = *parsed;
-    } else if (flag.rfind("--fleet-scrape-every=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--fleet-scrape-every=")));
-      if (!parsed || *parsed < 1) {
-        std::fprintf(
-            stderr, "serve: bad fleet scrape period '%s'\n",
-            flag.substr(std::strlen("--fleet-scrape-every=")).c_str());
-        return {};
-      }
-      config.fleet_scrape_every_ms = *parsed;
-      saw_fleet_flag = true;
-    } else if (flag.rfind("--slo-freshness-ms=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--slo-freshness-ms=")));
-      if (!parsed || *parsed < 1) {
-        std::fprintf(stderr, "serve: bad freshness threshold '%s'\n",
-                     flag.substr(std::strlen("--slo-freshness-ms=")).c_str());
-        return {};
-      }
-      config.slo_freshness_ms = *parsed;
-      saw_fleet_flag = true;
-    } else if (flag.rfind("--slo-window=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--slo-window=")));
-      if (!parsed || *parsed < 1 || *parsed > 86400) {
-        std::fprintf(stderr, "serve: bad SLO window '%s' (seconds, <= 1d)\n",
-                     flag.substr(std::strlen("--slo-window=")).c_str());
-        return {};
-      }
-      config.slo_window_s = *parsed;
-      saw_fleet_flag = true;
-    } else if (flag.rfind("--slo-objective=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--slo-objective=")));
-      if (!parsed || *parsed < 1 || *parsed > 99) {
-        std::fprintf(stderr,
-                     "serve: bad SLO objective '%s' (percent, 1-99)\n",
-                     flag.substr(std::strlen("--slo-objective=")).c_str());
-        return {};
-      }
-      config.slo_objective_pct = *parsed;
-      saw_fleet_flag = true;
     } else if (flag == "--supervised") {
       config.supervised = true;
     } else {
@@ -392,50 +255,117 @@ ParseResult parse_serve_args(const std::string& model_path,
       return {};
     }
   }
+  config.wal.sync_every = static_cast<std::size_t>(sync_every);
 
   // Per-mode flag validity: one parser, three modes, no silent ignores.
-  if (config.mode != ServeMode::kCoordinator && !config.workers.empty()) {
-    std::fprintf(stderr,
-                 "serve: --workers only applies to --mode=coordinator\n");
-    return {};
-  }
-  if (config.mode != ServeMode::kWorker && config.ingest_port != 0) {
-    std::fprintf(stderr,
-                 "serve: --ingest-port only applies to --mode=worker\n");
-    return {};
-  }
-  if (config.mode == ServeMode::kWorker && config.cycles != 0) {
-    std::fprintf(stderr,
-                 "serve: --cycles applies to the replaying modes (single, "
-                 "coordinator), not worker\n");
-    return {};
-  }
-  if (config.mode != ServeMode::kCoordinator && saw_fleet_flag) {
-    std::fprintf(stderr,
-                 "serve: --fleet-scrape-every/--slo-* only apply to "
-                 "--mode=coordinator\n");
-    return {};
-  }
-  if (config.mode == ServeMode::kCoordinator) {
-    if (config.workers.empty()) {
-      std::fprintf(stderr, "serve: --mode=coordinator requires --workers\n");
-      return {};
-    }
-    if (!config.state_dir.empty()) {
-      std::fprintf(stderr,
-                   "serve: the coordinator is stateless; --state-dir "
-                   "belongs on the workers\n");
+  const bool coordinator = config.mode == ServeMode::kCoordinator;
+  const std::pair<bool, const char*> mode_errors[] = {
+      {!coordinator && !config.workers.empty(),
+       "--workers only applies to --mode=coordinator"},
+      {config.mode != ServeMode::kWorker && config.ingest_port != 0,
+       "--ingest-port only applies to --mode=worker"},
+      {config.mode == ServeMode::kWorker && config.cycles != 0,
+       "--cycles applies to the replaying modes (single, coordinator), not "
+       "worker"},
+      {(seen_modes & mode_bit(config.mode)) == 0,
+       "--fleet-scrape-every/--slo-* only apply to --mode=coordinator"},
+      {coordinator && config.workers.empty(),
+       "--mode=coordinator requires --workers"},
+      {coordinator && !config.state_dir.empty(),
+       "the coordinator is stateless; --state-dir belongs on the workers"},
+  };
+  for (const auto& [invalid, message] : mode_errors) {
+    if (invalid) {
+      std::fprintf(stderr, "serve: %s\n", message);
       return {};
     }
   }
   return {.options = std::move(config), .exit_code = 0};
 }
 
+std::thread spawn_loop(std::function<void()> body) {
+  return std::thread([body = std::move(body)] {
+    try {
+      body();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      std::fflush(nullptr);
+      std::_Exit(1);
+    }
+  });
+}
+
+ReplaySource::ReplaySource(long long cycles, Emit emit,
+                           std::function<void()> on_finished)
+    : cycles_(cycles),
+      emit_(std::move(emit)),
+      on_finished_(std::move(on_finished)) {
+  std::printf("recording canonical workload streams for replay...\n");
+  std::fflush(stdout);
+  runs_ = core::record_canonical_runs();
+}
+
+void ReplaySource::start() { thread_ = spawn_loop([this] { loop(); }); }
+
+void ReplaySource::stop() {
+  halt_.store(true, std::memory_order_release);
+  if (thread_.joinable()) thread_.join();
+}
+
+void ReplaySource::loop() {
+  while (!halt_.load(std::memory_order_acquire)) {
+    if (cycles_ == 0 || cycles_done() < cycles_) {
+      const auto cycle = static_cast<std::size_t>(cycles_done());
+      for (std::size_t r = 0; r < runs_.size(); ++r) {
+        const auto& run = runs_[r];
+        if (run.announcements.empty()) continue;
+        const std::string node_ip = replay_node_ip(r);
+        for (std::size_t n = 0; n < kAnnouncesPerCycle; ++n) {
+          metrics::Snapshot snapshot =
+              run.announcements[(cycle * kAnnouncesPerCycle + n) %
+                                run.announcements.size()];
+          snapshot.node_ip = node_ip;
+          if (!emit_(snapshot)) return;
+        }
+      }
+      cycles_done_.fetch_add(1, std::memory_order_acq_rel);
+      if (finished() && on_finished_) on_finished_();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+}
+
 ServeApp::ServeApp(ServeOptions options) : options_(std::move(options)) {}
 
 int ServeApp::run_mode() {
-  return options_.mode == ServeMode::kCoordinator ? run_coordinator()
-                                                  : run_node();
+  export_restart_ordinal();
+  // SIGTERM/SIGINT request the ordered shutdown (docs/serving.md
+  // "Lifecycle") and the process exits 0, so a supervisor treating the
+  // forwarded SIGTERM as "please stop" sees a clean exit. The signals
+  // stay blocked until the component they stop exists, so a request
+  // during model load is delivered, not lost.
+  sigset_t signals;
+  sigemptyset(&signals);
+  sigaddset(&signals, SIGTERM);
+  sigaddset(&signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
+  const std::unique_ptr<Component> component =
+      options_.mode == ServeMode::kCoordinator ? make_coordinator(options_)
+                                               : make_node_server(options_);
+  g_signal_target.store(component.get());
+  std::signal(SIGTERM, request_stop_on_signal);
+  std::signal(SIGINT, request_stop_on_signal);
+  pthread_sigmask(SIG_UNBLOCK, &signals, nullptr);
+  const bool started = component->start();
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(options_.duration_s);
+  while (started && !component->stop_requested() &&
+         (options_.duration_s == 0 ||
+          std::chrono::steady_clock::now() < deadline))
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  component->stop();
+  g_signal_target.store(nullptr);
+  return started ? 0 : 1;
 }
 
 int ServeApp::run() {
@@ -455,622 +385,6 @@ int ServeApp::run() {
               result.terminated ? " (terminated)" : "");
   if (result.crash_loop) return 1;
   return result.exit_code;
-}
-
-int ServeApp::run_node() {
-  const ServeOptions& config = options_;
-  const bool is_worker = config.mode == ServeMode::kWorker;
-  install_serve_signals();
-  export_restart_ordinal();
-
-  core::ClassificationPipeline pipeline =
-      core::load_pipeline_file(config.model_path);
-  pipeline.set_parallelism(config.threads);
-
-  std::vector<core::RecordedRun> runs;
-  if (!is_worker) {
-    std::printf("recording canonical workload streams for replay...\n");
-    std::fflush(stdout);
-    runs = core::record_canonical_runs();
-  }
-
-  monitor::MetricBus bus;
-  engine::FleetStream stream(pipeline, config.online,
-                             static_cast<std::size_t>(config.max_backlog));
-
-  // Model-health aggregator: fed by every drained snapshot (the detailed
-  // classify path), read by the scorecard routes, /healthz, and the
-  // --stats-every ticker. Strictly observational — labels are identical
-  // with or without it. Attached before recovery so WAL replay runs the
-  // same detailed arithmetic the live drain will.
-  obs::ModelHealth health(core::make_health_options(
-      static_cast<std::size_t>(config.drift_window)));
-  stream.online().attach_health(&health);
-  obs::ModelHealth::set_instance(&health);
-
-  // Crash safety: recover checkpoint + WAL tail, then log every accepted
-  // push (under the stream lock, so log order == ingest order) and
-  // checkpoint periodically. All of it is off unless --state-dir is set.
-  std::uint64_t recovered_wal_next = 0;
-  std::optional<persist::WalWriter> wal;
-  if (!config.state_dir.empty()) {
-    if (::mkdir(config.state_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "serve: cannot create state dir %s: %s\n",
-                   config.state_dir.c_str(), std::strerror(errno));
-      obs::ModelHealth::set_instance(nullptr);
-      return 1;
-    }
-    const persist::RecoveryReport report =
-        persist::recover(config.state_dir, pipeline, stream.online());
-    recovered_wal_next = report.wal_next_seq;
-    if (report.checkpoint_loaded || report.replayed > 0)
-      std::printf(
-          "recovered state: checkpoint %s (wal-next %llu), %llu WAL "
-          "records replayed%s in %.3fs\n",
-          report.checkpoint_loaded ? "loaded" : "absent",
-          static_cast<unsigned long long>(report.checkpoint_wal_next),
-          static_cast<unsigned long long>(report.replayed),
-          report.wal_truncated ? " (torn tail dropped)" : "",
-          report.seconds);
-    wal.emplace(config.state_dir + "/wal", config.wal, report.wal_next_seq);
-    stream.set_ingest_hook([&wal](const metrics::Snapshot& snapshot) {
-      return wal->append(snapshot);
-    });
-  }
-  if (!is_worker) stream.attach(bus);
-
-  // Guards OnlineClassifier state between the drain loop and the scrape
-  // handlers that export it (/composition, /appdb): online() is not safe
-  // against a concurrent drain.
-  std::mutex state_mutex;
-
-  // Checkpoint barrier: WAL synced first so the claimed horizon is
-  // durable, then the state image lands atomically, then fully-covered
-  // segments are pruned. Callers hold state_mutex.
-  const auto write_state_checkpoint = [&] {
-    if (!wal) return;
-    wal->sync();
-    persist::CheckpointData data;
-    data.wal_next =
-        std::max(recovered_wal_next, stream.ingested_wal_horizon());
-    data.options = stream.online().options();
-    data.online = stream.online().export_state();
-    persist::write_checkpoint(config.state_dir + "/checkpoints", data);
-    if (data.wal_next > 0) wal->prune_through(data.wal_next - 1);
-  };
-
-  // Worker mode: the frame listener replaces the local replay. The sink
-  // routes through the same push path the bus would use, so the WAL
-  // hook, backlog bound, and grid filter behave identically; acks are
-  // written by the listener only after push (and therefore the WAL
-  // append) returns.
-  std::optional<dist::IngestListener> listener;
-  if (is_worker) {
-    listener.emplace(
-        dist::IngestListenerOptions{
-            .port = static_cast<std::uint16_t>(config.ingest_port),
-            .sampling_interval_s = config.online.sampling_interval_s,
-            .bind_retries = 4},
-        [&stream](const metrics::Snapshot& snapshot) {
-          return stream.push(snapshot);
-        },
-        recovered_wal_next);
-    if (!listener->start()) {
-      obs::ModelHealth::set_instance(nullptr);
-      std::fprintf(stderr, "serve: cannot bind ingest port %lld\n",
-                   config.ingest_port);
-      return 1;
-    }
-  }
-
-  std::atomic<std::uint64_t> announced{0};
-  std::atomic<long long> cycles_done{0};
-  std::atomic<bool> replay_complete{false};
-
-  obs::ScrapeServer server(
-      {.bind_address = "127.0.0.1",
-       .port = static_cast<std::uint16_t>(config.port),
-       // A restarted worker may race its predecessor's dying socket.
-       .bind_retries = 4,
-       // Trace dumps walk every thread ring under locks; a scrape loop
-       // pointed at /traces/recent must not become a recording stall.
-       .trace_dump_min_interval_ms = 100});
-  server.add_route("/classes", "application/json",
-                   [&health] { return health.classes_json(); });
-  server.add_route("/drift", "application/json",
-                   [&health] { return health.drift_json(); });
-  server.add_route("/nodes", "application/json",
-                   [&health] { return health.nodes_json(); });
-  server.add_route("/composition", "text/plain; version=1",
-                   [&stream, &state_mutex] {
-                     const std::lock_guard lock(state_mutex);
-                     return composition_text(stream.online());
-                   });
-  server.add_route("/appdb", "text/plain; version=1",
-                   [&stream, &state_mutex] {
-                     const std::lock_guard lock(state_mutex);
-                     return appdb_text(stream.online().export_state());
-                   });
-  server.add_route("/shard/classes", "text/plain; version=1",
-                   [&health] { return shard_classes_text(health); });
-  server.add_route(
-      "/replay", "application/json",
-      [&, is_worker] {
-        std::ostringstream out;
-        if (is_worker) {
-          out << "{\"mode\":\"worker\",\"expected\":" << listener->expected()
-              << ",\"backlog\":" << stream.backlog()
-              << ",\"duplicates\":" << listener->duplicates()
-              << ",\"connections\":" << listener->connections() << "}";
-        } else {
-          out << "{\"mode\":\"single\",\"cycles\":" << config.cycles
-              << ",\"cycles_done\":" << cycles_done.load()
-              << ",\"announced\":" << announced.load()
-              << ",\"backlog\":" << stream.backlog() << ",\"complete\":"
-              << (replay_complete.load() ? "true" : "false") << "}";
-        }
-        return out.str();
-      });
-  server.set_health_check([&health] {
-    const obs::ModelHealth::Status status = health.status();
-    return obs::HealthVerdict{status.healthy, status.reason_json};
-  });
-  if (!server.start()) {
-    if (listener) listener->stop();
-    obs::ModelHealth::set_instance(nullptr);
-    std::fprintf(stderr, "serve: cannot bind 127.0.0.1:%lld\n", config.port);
-    return 1;
-  }
-  std::printf("serving on 127.0.0.1:%u (/metrics /healthz /traces/recent"
-              " /classes /drift /nodes)%s%s\n",
-              server.port(),
-              wal ? " with WAL + checkpoints" : "",
-              config.duration_s > 0 ? "" : "; interrupt to stop");
-  if (is_worker)
-    std::printf("worker ingest on 127.0.0.1:%u (expecting seq %llu)\n",
-                listener->port(),
-                static_cast<unsigned long long>(listener->expected()));
-  std::fflush(stdout);
-
-  // Replay the recorded announcement streams cyclically through the bus
-  // (single mode; workers are fed by the listener instead). The
-  // FleetStream grid-samples, batches, and classifies, so every scrape
-  // sees live pipeline + engine metrics (and spans when tracing).
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(config.duration_s);
-  std::size_t classified = 0;
-  long long drains_since_checkpoint = 0;
-  for (std::size_t cycle = 0; g_serve_stop == 0; ++cycle) {
-    const bool replaying =
-        !is_worker &&
-        (config.cycles == 0 || cycles_done.load() < config.cycles);
-    if (replaying) {
-      for (std::size_t r = 0; r < runs.size(); ++r) {
-        const auto& run = runs[r];
-        if (run.announcements.empty()) continue;
-        // Each canonical run is announced as its own fleet node, so the
-        // five workloads shard as five monitored nodes.
-        const std::string node_ip = replay_node_ip(r);
-        for (std::size_t n = 0; n < kAnnouncesPerCycle; ++n) {
-          metrics::Snapshot snapshot =
-              run.announcements[(cycle * kAnnouncesPerCycle + n) %
-                                run.announcements.size()];
-          snapshot.node_ip = node_ip;
-          bus.announce(snapshot);
-          announced.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      cycles_done.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::size_t drained = 0;
-    {
-      const std::lock_guard lock(state_mutex);
-      drained = stream.drain();
-      classified += drained;
-      if (drained > 0 &&
-          ++drains_since_checkpoint >= config.checkpoint_every) {
-        write_state_checkpoint();
-        drains_since_checkpoint = 0;
-      }
-    }
-    if (!is_worker && config.cycles > 0 &&
-        cycles_done.load() >= config.cycles && stream.backlog() == 0)
-      replay_complete.store(true, std::memory_order_release);
-    if (config.duration_s > 0 &&
-        std::chrono::steady_clock::now() >= deadline)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-
-  // Graceful shutdown: stop accepting, fold in whatever is buffered,
-  // make the log durable, and leave a checkpoint covering all of it.
-  if (listener) listener->stop();
-  stream.detach();
-  {
-    const std::lock_guard lock(state_mutex);
-    classified += stream.drain();
-    write_state_checkpoint();
-  }
-  server.stop();
-  obs::ModelHealth::set_instance(nullptr);
-  if (g_serve_stop != 0) std::printf("shutdown signal: drained and flushed\n");
-  if (is_worker)
-    std::printf("served %llu ingested frames (%zu classified)\n",
-                static_cast<unsigned long long>(listener->expected() -
-                                                recovered_wal_next),
-                classified);
-  else
-    std::printf("served %zu announcements (%zu classified)\n",
-                static_cast<std::size_t>(announced.load()), classified);
-  std::printf("%s\n", health.summary_line().c_str());
-  return 0;
-}
-
-int ServeApp::run_coordinator() {
-  const ServeOptions& config = options_;
-  install_serve_signals();
-  export_restart_ordinal();
-
-  std::printf("recording canonical workload streams for replay...\n");
-  std::fflush(stdout);
-  const auto runs = core::record_canonical_runs();
-
-  // SLO verdict for the whole fleet: freshness fed by the links' durable
-  // acks (below), availability by the federation scraper's probe results.
-  const double objective =
-      static_cast<double>(config.slo_objective_pct) / 100.0;
-  obs::SloTracker slo(
-      {.freshness_objective = objective,
-       .freshness_threshold_s =
-           static_cast<double>(config.slo_freshness_ms) * 1e-3,
-       .availability_objective = objective,
-       .short_window_s = static_cast<int>(config.slo_window_s),
-       .long_window_s = static_cast<int>(config.slo_window_s * 12)});
-
-  const dist::ShardMap shard_map(config.workers.size());
-  std::vector<std::unique_ptr<dist::WorkerLink>> links;
-  links.reserve(config.workers.size());
-  for (const WorkerEndpoint& worker : config.workers)
-    links.push_back(std::make_unique<dist::WorkerLink>(
-        worker.host, worker.ingest_port,
-        dist::WorkerLinkOptions{
-            .should_stop = [] { return g_serve_stop != 0; },
-            .on_durable = [&slo](double e2e_s) {
-              slo.record_freshness(e2e_s, obs::SloTracker::now_s());
-            }}));
-
-  auto& announced_total =
-      obs::MetricsRegistry::global().counter("appclass_dist_announced_total");
-  std::atomic<std::uint64_t> announced{0};
-  std::atomic<long long> cycles_done{0};
-  std::atomic<bool> flushed{false};
-
-  // --- Metrics federation -----------------------------------------------
-  // A background scraper pulls every worker's /metrics on a fixed
-  // period, re-parses the text exposition, and caches the merged fleet
-  // registry — /fleet/metrics serves from this cache instead of fanning
-  // out per request, and every probe outcome feeds the availability SLI.
-  // A worker that stops answering keeps its last-good snapshot in the
-  // merge (stale beats absent mid-incident); its scrape health says so.
-  struct WorkerScrape {
-    std::uint64_t scrapes = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t consecutive_failures = 0;
-    std::uint64_t parse_errors = 0;
-    std::string last_error = "never";  ///< last outcome ("ok", "connect"...)
-    std::size_t last_bytes = 0;
-  };
-  std::mutex fleet_mutex;
-  std::string fleet_metrics_text;
-  std::size_t fleet_dropped_series = 0;
-  long long fleet_last_scrape_us = 0;
-  std::vector<WorkerScrape> worker_scrapes(config.workers.size());
-  std::vector<std::optional<obs::RegistrySnapshot>> last_parsed(
-      config.workers.size());
-  obs::BoundedLabelSet worker_labels(config.workers.size() + 1);
-  std::atomic<bool> fleet_stop{false};
-  std::thread fleet_thread([&] {
-    while (!fleet_stop.load(std::memory_order_acquire)) {
-      const auto scrape_start = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < config.workers.size(); ++i) {
-        const WorkerEndpoint& worker = config.workers[i];
-        const dist::HttpResult res =
-            dist::http_get_ex(worker.host, worker.scrape_port, "/metrics");
-        slo.record_availability(res.ok(), obs::SloTracker::now_s());
-        std::optional<obs::RegistrySnapshot> parsed;
-        if (res.ok()) parsed = obs::parse_prometheus(res.body);
-        const std::lock_guard lock(fleet_mutex);
-        WorkerScrape& health = worker_scrapes[i];
-        ++health.scrapes;
-        if (parsed) {
-          health.consecutive_failures = 0;
-          health.last_error = "ok";
-          health.last_bytes = res.body.size();
-          last_parsed[i] = std::move(parsed);
-        } else {
-          ++health.failures;
-          ++health.consecutive_failures;
-          if (res.ok()) {
-            // Reachable but emitting text the parser rejects — a schema
-            // mismatch worth distinguishing from a dead worker.
-            ++health.parse_errors;
-            health.last_error = "parse";
-          } else {
-            health.last_error = dist::to_string(res.error);
-          }
-        }
-      }
-      {
-        const std::lock_guard lock(fleet_mutex);
-        std::vector<obs::FederationPart> parts;
-        for (std::size_t i = 0; i < last_parsed.size(); ++i)
-          if (last_parsed[i])
-            parts.push_back({std::to_string(i), *last_parsed[i]});
-        const obs::FederationResult merged =
-            obs::federate_snapshots(parts, &worker_labels);
-        fleet_metrics_text = obs::to_prometheus(merged.merged);
-        fleet_dropped_series = merged.dropped_series;
-        fleet_last_scrape_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - scrape_start)
-                .count();
-      }
-      // Sleep the period in small slices so shutdown stays prompt.
-      for (long long slept = 0;
-           slept < config.fleet_scrape_every_ms &&
-           !fleet_stop.load(std::memory_order_acquire);
-           slept += 20)
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  });
-
-  // All merge routes are assembled by scraping the workers' own
-  // read-only routes — the coordinator holds no classifier state.
-  const auto fetch_all = [&config](const std::string& path)
-      -> std::optional<std::vector<std::string>> {
-    std::vector<std::string> bodies;
-    for (const WorkerEndpoint& worker : config.workers) {
-      auto body = dist::http_get(worker.host, worker.scrape_port, path);
-      if (!body) return std::nullopt;
-      bodies.push_back(std::move(*body));
-    }
-    return bodies;
-  };
-
-  obs::ScrapeServer server(
-      {.bind_address = "127.0.0.1",
-       .port = static_cast<std::uint16_t>(config.port),
-       .bind_retries = 4,
-       .trace_dump_min_interval_ms = 100});
-  server.add_route("/composition", "text/plain; version=1", [&] {
-    const auto parts = fetch_all("/composition");
-    if (!parts) return std::string("merge-error: worker unreachable\n");
-    try {
-      return merge_composition_texts(*parts);
-    } catch (const std::exception& e) {
-      return std::string("merge-error: ") + e.what() + "\n";
-    }
-  });
-  server.add_route("/classes", "application/json", [&] {
-    const auto parts = fetch_all("/shard/classes");
-    if (!parts) return std::string("{\"error\":\"worker unreachable\"}");
-    std::array<std::uint64_t, core::kClassCount> counts{};
-    for (const std::string& part : *parts) {
-      std::istringstream in(part);
-      std::string name;
-      std::uint64_t value = 0;
-      while (in >> name >> value) {
-        const auto cls = core::class_from_string(name);
-        if (cls) counts[core::index_of(*cls)] += value;
-      }
-    }
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : counts) total += c;
-    std::ostringstream out;
-    out << "{\"total_samples\":" << total
-        << ",\"workers\":" << config.workers.size() << ",\"classes\":[";
-    for (std::size_t i = 0; i < core::kClassCount; ++i) {
-      if (i) out << ',';
-      out << "{\"class\":\"" << core::kClassNames[i]
-          << "\",\"samples\":" << counts[i] << '}';
-    }
-    out << "]}";
-    return out.str();
-  });
-  server.add_route("/appdb", "text/plain; version=1", [&] {
-    const auto parts = fetch_all("/appdb");
-    if (!parts) return std::string("merge-error: worker unreachable\n");
-    std::map<std::string, std::string> rows;  // ip -> line (sorted merge)
-    for (const std::string& part : *parts) {
-      std::istringstream in(part);
-      std::string line;
-      while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        rows.emplace(line.substr(0, line.find(' ')), line);
-      }
-    }
-    std::string out;
-    for (const auto& [ip, line] : rows) {
-      out += line;
-      out += '\n';
-    }
-    return out;
-  });
-  server.add_route("/workers", "application/json", [&] {
-    std::ostringstream out;
-    out << "[";
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      if (i) out << ',';
-      out << "{\"shard\":" << i
-          << ",\"scrape_port\":" << config.workers[i].scrape_port
-          << ",\"ingest_port\":" << config.workers[i].ingest_port
-          << ",\"sent\":" << links[i]->sent()
-          << ",\"acked\":" << links[i]->acked()
-          << ",\"reconnects\":" << links[i]->reconnects() << '}';
-    }
-    out << "]";
-    return out.str();
-  });
-  server.add_route("/replay", "application/json", [&] {
-    // Complete = every frame sent, acked (durable in a worker WAL), and
-    // drained out of every worker's backlog — after which the merged
-    // composition is final and safe to byte-compare.
-    bool complete = config.cycles > 0 &&
-                    cycles_done.load() >= config.cycles && flushed.load();
-    if (complete) {
-      for (const WorkerEndpoint& worker : config.workers) {
-        const auto body =
-            dist::http_get(worker.host, worker.scrape_port, "/replay");
-        const std::size_t at =
-            body ? body->find("\"backlog\":") : std::string::npos;
-        if (at == std::string::npos ||
-            body->compare(at + 10, 1, "0") != 0 ||
-            (body->size() > at + 11 &&
-             std::isdigit(static_cast<unsigned char>((*body)[at + 11])))) {
-          complete = false;
-          break;
-        }
-      }
-    }
-    std::ostringstream out;
-    out << "{\"mode\":\"coordinator\",\"cycles\":" << config.cycles
-        << ",\"cycles_done\":" << cycles_done.load()
-        << ",\"announced\":" << announced.load()
-        << ",\"flushed\":" << (flushed.load() ? "true" : "false")
-        << ",\"complete\":" << (complete ? "true" : "false") << "}";
-    return out.str();
-  });
-  server.add_route("/fleet/metrics",
-                   "text/plain; version=0.0.4; charset=utf-8", [&] {
-                     const std::lock_guard lock(fleet_mutex);
-                     return fleet_metrics_text.empty()
-                                ? std::string(
-                                      "# federation: no worker scraped yet\n")
-                                : fleet_metrics_text;
-                   });
-  server.add_route("/fleet/workers", "application/json", [&] {
-    std::ostringstream out;
-    const std::lock_guard lock(fleet_mutex);
-    out << "{\"dropped_series\":" << fleet_dropped_series
-        << ",\"last_scrape_us\":" << fleet_last_scrape_us
-        << ",\"workers\":[";
-    for (std::size_t i = 0; i < worker_scrapes.size(); ++i) {
-      const WorkerScrape& health = worker_scrapes[i];
-      if (i) out << ',';
-      out << "{\"shard\":" << i
-          << ",\"scrape_port\":" << config.workers[i].scrape_port
-          << ",\"ingest_port\":" << config.workers[i].ingest_port
-          << ",\"scrapes\":" << health.scrapes
-          << ",\"failures\":" << health.failures
-          << ",\"consecutive_failures\":" << health.consecutive_failures
-          << ",\"parse_errors\":" << health.parse_errors
-          << ",\"last_error\":\"" << health.last_error << '"'
-          << ",\"last_bytes\":" << health.last_bytes
-          << ",\"sent\":" << links[i]->sent()
-          << ",\"acked\":" << links[i]->acked()
-          << ",\"in_flight\":" << links[i]->in_flight()
-          << ",\"reconnects\":" << links[i]->reconnects() << '}';
-    }
-    out << "]}";
-    return out.str();
-  });
-  server.add_route("/fleet/traces", "application/json", [&] {
-    // Live assembly (no cache): traces are an incident tool, and the
-    // stitcher tolerates any subset of workers answering.
-    std::vector<obs::TraceFleetPart> parts;
-    parts.push_back({"coordinator", obs::TraceRecorder::global()
-                                        .to_chrome_json(4 * 1024 * 1024)});
-    for (std::size_t i = 0; i < config.workers.size(); ++i) {
-      dist::HttpResult res =
-          dist::http_get_ex(config.workers[i].host,
-                            config.workers[i].scrape_port, "/traces/recent");
-      if (res.ok())
-        parts.push_back(
-            {"worker-" + std::to_string(i), std::move(res.body)});
-    }
-    return obs::stitch_chrome_traces(parts).json;
-  });
-  server.add_route("/slo", "application/json", [&slo] {
-    return slo.to_json(obs::SloTracker::now_s());
-  });
-  // The coordinator's liveness probe IS the SLO verdict: burning both
-  // windows on either SLI turns /healthz 503 with the JSON report body.
-  server.set_health_check([&slo] {
-    const std::int64_t now = obs::SloTracker::now_s();
-    return obs::HealthVerdict{slo.healthy(now), slo.to_json(now)};
-  });
-  if (!server.start()) {
-    fleet_stop.store(true, std::memory_order_release);
-    fleet_thread.join();
-    std::fprintf(stderr, "serve: cannot bind 127.0.0.1:%lld\n", config.port);
-    return 1;
-  }
-  std::printf("coordinating %zu workers on 127.0.0.1:%u (/metrics /healthz"
-              " /composition /classes /appdb /workers /replay"
-              " /fleet/metrics /fleet/workers /fleet/traces /slo)%s\n",
-              config.workers.size(), server.port(),
-              config.duration_s > 0 ? "" : "; interrupt to stop");
-  std::fflush(stdout);
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(config.duration_s);
-  for (std::size_t cycle = 0; g_serve_stop == 0; ++cycle) {
-    const bool replaying =
-        config.cycles == 0 || cycles_done.load() < config.cycles;
-    if (replaying) {
-      for (std::size_t r = 0; r < runs.size(); ++r) {
-        const auto& run = runs[r];
-        if (run.announcements.empty()) continue;
-        const std::string node_ip = replay_node_ip(r);
-        const std::size_t shard = shard_map.shard_for(node_ip);
-        for (std::size_t n = 0; n < kAnnouncesPerCycle; ++n) {
-          metrics::Snapshot snapshot =
-              run.announcements[(cycle * kAnnouncesPerCycle + n) %
-                                run.announcements.size()];
-          // The coordinator filters to the sampling grid *before*
-          // numbering frames — that is what keeps frame seq == worker
-          // WAL seq, the invariant exactly-once resume rests on.
-          if (snapshot.time % config.online.sampling_interval_s != 0)
-            continue;
-          snapshot.node_ip = node_ip;
-          obs::TraceSpan span("dist_announce");
-          if (span.recording()) {
-            span.add_attr({"node", node_ip});
-            span.add_attr({"shard", shard});
-          }
-          if (!links[shard]->send(snapshot, span.context())) break;
-          announced.fetch_add(1, std::memory_order_relaxed);
-          announced_total.inc();
-        }
-      }
-      if (g_serve_stop == 0) cycles_done.fetch_add(1);
-      if (config.cycles > 0 && cycles_done.load() >= config.cycles) {
-        bool all = true;
-        for (const auto& link : links) all = link->flush() && all;
-        if (all) flushed.store(true, std::memory_order_release);
-      }
-    }
-    if (config.duration_s > 0 &&
-        std::chrono::steady_clock::now() >= deadline)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-
-  // Shutdown: push what remains to the workers (bounded by the stop
-  // flag — a dead worker cannot wedge a terminating coordinator).
-  fleet_stop.store(true, std::memory_order_release);
-  fleet_thread.join();
-  std::uint64_t acked = 0;
-  for (const auto& link : links) {
-    link->flush();
-    acked += link->acked();
-  }
-  server.stop();
-  if (g_serve_stop != 0) std::printf("shutdown signal: links flushed\n");
-  std::printf("announced %llu frames to %zu workers (%llu acked)\n",
-              static_cast<unsigned long long>(announced.load()),
-              links.size(), static_cast<unsigned long long>(acked));
-  return 0;
 }
 
 }  // namespace appclass::serving

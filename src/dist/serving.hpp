@@ -1,40 +1,46 @@
 // The unified serving API: single-process, shard worker, and coordinator
 // are three modes of one library-level surface.
 //
-// `appclass_cli serve` used to be a ~280-line monolith of flag parsing,
-// state-dir wiring, drain loop, and signal handling. That block now
-// lives here as `ServeOptions` (parsed once, by parse_serve_args, for
-// every mode) and `ServeApp` (the run loop), so the CLI is a thin
-// adapter and the distributed topology shares — rather than forks — the
-// crash-safety, health, and observability plumbing:
+// `ServeOptions` is parsed once, by parse_serve_args, for every mode, and
+// the roles are three start/stop components that the CLI, tests and
+// benches compose in-process:
 //
-//   * kSingle — the classic loop: replay the five canonical workload
-//     streams through a FleetStream, scrape endpoint, optional
-//     WAL/checkpoint state dir, optional supervisor.
-//   * kWorker — identical plumbing, but snapshots arrive over a
-//     dist::IngestListener socket instead of the local replay; acks are
-//     written only after the WAL append, so the coordinator's
-//     exactly-once window survives SIGKILL + supervised restart.
-//   * kCoordinator — replays the canonical streams, shards them by node
-//     ip over a dist::ShardMap, ships them to the workers through
-//     dist::WorkerLink, and serves the merged fleet view (/composition,
-//     /classes, /appdb, /workers, /replay) by scraping the workers'
-//     own read-only routes — plus the fleet observability plane:
-//     federated worker metrics (/fleet/metrics, /fleet/workers), the
-//     stitched cross-process trace (/fleet/traces), and the multi-window
-//     SLO verdict (/slo, folded into /healthz).
+//   * node server — online state, WAL and checkpoints, the scrape routes.
+//     kSingle feeds it from a ReplaySource through a MetricBus; kWorker
+//     feeds it from a dist::IngestListener socket, acking only after the
+//     WAL append, so the coordinator's exactly-once window survives
+//     SIGKILL + supervised restart.
+//   * coordinator — a ReplaySource sharded by node ip over a
+//     dist::ShardMap into dist::WorkerLinks, the federation scraper, and
+//     the merge routes: the merged fleet view (/composition, /classes,
+//     /appdb, /workers, /replay) assembled from the workers' read-only
+//     routes, federated worker metrics (/fleet/metrics, /fleet/workers),
+//     the stitched cross-process trace (/fleet/traces), and the
+//     multi-window SLO verdict (/slo, folded into /healthz).
+//   * ReplaySource (dist/replay.hpp) — the one canonical replay loop
+//     both replaying modes announce through.
 //
-// Determinism contract (what the CI topology smoke proves): each node ip
-// lives on exactly one shard, per-link TCP preserves the coordinator's
-// announce order, and workers ingest serially in arrival order — so
-// every node's OnlineClassifier evolves exactly as in single-process
-// serve, and the merged composition text is byte-identical to the
-// single-process /composition for the same --cycles replay.
+// ServeApp runs one component per process until a signal or --duration,
+// optionally under persist::Supervisor. The start and stop order of each
+// component is written down once, in docs/serving.md "Lifecycle".
+//
+// Determinism contract (what the CI topology smoke and the in-process
+// fleet test prove): each node ip lives on exactly one shard, per-link
+// TCP preserves the coordinator's announce order, and workers ingest
+// serially in arrival order — so every node's OnlineClassifier evolves
+// exactly as in single-process serve, and the merged composition text is
+// byte-identical to the single-process /composition for the same
+// --cycles replay.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/online.hpp"
@@ -100,9 +106,44 @@ struct ParseResult {
 
 /// Parses the serve flag vector (everything after the model path) into
 /// options, enforcing per-mode flag validity. All error messages go to
-/// stderr, exactly as the old in-CLI parser printed them.
+/// stderr.
 ParseResult parse_serve_args(const std::string& model_path,
                              const std::vector<std::string>& flags);
+
+/// The CLI's one integer grammar: digits only. Deliberately stricter
+/// than strtoll, which accepts leading whitespace and a sign — so
+/// "--port= 80", "+80", or "-1" read as valid ports/counts. Every integer
+/// flag is a count, port, seed or ordinal: non-negative by definition.
+/// Length-capped below LLONG_MAX's 19 digits, so overflow cannot occur.
+std::optional<long long> parse_count(std::string_view text);
+
+/// Splits on `sep`, keeping empty items ("a,,b" -> {"a", "", "b"}).
+std::vector<std::string> split_list(const std::string& text, char sep);
+
+/// Bit of `mode` in IntFlag::modes.
+constexpr unsigned mode_bit(ServeMode mode) {
+  return 1u << static_cast<unsigned>(mode);
+}
+
+/// One row of an integer flag table: `--name=<count>` stored in `field`
+/// when it lies in [min, max].
+struct IntFlag {
+  std::string_view name;  ///< including the trailing '='
+  long long* field;
+  long long min;
+  long long max = std::numeric_limits<long long>::max();
+  const char* what;       ///< error text: "bad <what> '<value>'<hint>"
+  const char* hint = "";
+  unsigned modes = ~0u;   ///< serve modes the flag applies to
+};
+
+/// Matches `flag` against `table`. Returns the matched row (nullptr when
+/// none matches); `bad` is set, after printing "<prefix>bad <what>
+/// '<value>'<hint>" to stderr, when the value is malformed or out of
+/// range.
+const IntFlag* parse_int_flag(std::span<const IntFlag> table,
+                              const std::string& flag, const char* prefix,
+                              bool& bad);
 
 /// Canonical plain-text rendering of an OnlineClassifier's state — the
 /// /composition route body. Deterministic: nodes in map (lexicographic)
@@ -123,19 +164,55 @@ std::string merge_composition_texts(const std::vector<std::string>& parts);
 /// interleaved stream.
 std::string replay_node_ip(std::size_t run_index);
 
+/// A serving role with an explicit lifecycle (docs/serving.md
+/// "Lifecycle"). Construction loads the model and records the replay;
+/// start() recovers, binds and spawns the loops; stop() runs the ordered
+/// shutdown and prints the summary. Both are called from one controlling
+/// thread.
+class Component {
+ public:
+  virtual ~Component() = default;
+  /// False (error printed) leaves nothing running.
+  virtual bool start() = 0;
+  /// Idempotent; a no-op before start().
+  virtual void stop() = 0;
+  /// The bound scrape port (resolves port 0); 0 when not running.
+  virtual std::uint16_t port() const = 0;
+  /// Worker mode: the bound frame-listener port; 0 otherwise.
+  virtual std::uint16_t ingest_port() const { return 0; }
+  /// Async-signal-safe: aborts blocking retries (a dead worker cannot
+  /// wedge shutdown) and marks the shutdown as signalled.
+  void request_stop() noexcept {
+    stop_requested_.store(true, std::memory_order_release);
+  }
+  bool stop_requested() const noexcept {
+    return stop_requested_.load(std::memory_order_acquire);
+  }
+
+ private:
+  std::atomic<bool> stop_requested_{false};
+};
+
+/// Single and worker modes: one shard of online state behind the scrape
+/// routes, fed by the canonical replay (single) or a dist::IngestListener
+/// (worker).
+std::unique_ptr<Component> make_node_server(ServeOptions options);
+
+/// Coordinator mode: shards the canonical replay over the workers and
+/// serves the merged fleet view and the fleet observability plane.
+std::unique_ptr<Component> make_coordinator(ServeOptions options);
+
 class ServeApp {
  public:
   explicit ServeApp(ServeOptions options);
 
-  /// Runs the configured mode to completion; with options.supervised,
-  /// forks it under persist::Supervisor first. Returns the process exit
-  /// code.
+  /// Runs the configured mode's component until SIGTERM/SIGINT or
+  /// --duration; with options.supervised, forks it under
+  /// persist::Supervisor first. Returns the process exit code.
   int run();
 
  private:
   int run_mode();
-  int run_node();         // kSingle and kWorker share one body
-  int run_coordinator();
 
   ServeOptions options_;
 };

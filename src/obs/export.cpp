@@ -50,25 +50,6 @@ std::string quantile_estimate(const HistogramSnapshot& h, double q) {
   return "inf";
 }
 
-void json_escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\n': out.append("\\n"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out.append(buffer);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
-
 void json_labels_into(std::string& out, const Labels& labels) {
   out.append("{");
   bool first = true;
@@ -139,6 +120,25 @@ void prom_type_line(std::string& out, std::set<std::string>& emitted,
 }
 
 }  // namespace
+
+void json_escape_into(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\n': out.append("\\n"); break;
+      case '\t': out.append("\\t"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
+          out.append(buffer);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+}
 
 std::string to_table(const RegistrySnapshot& snapshot) {
   std::string out;

@@ -5,12 +5,17 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
 namespace appclass::obs {
 
 enum class ExportFormat { kTable, kJson, kPrometheus };
+
+/// Appends `s` as the body of a JSON string: quote, backslash and every
+/// control character escaped. The one escaper every obs JSON writer uses.
+void json_escape_into(std::string& out, std::string_view s);
 
 std::string to_table(const RegistrySnapshot& snapshot);
 std::string to_json(const RegistrySnapshot& snapshot);

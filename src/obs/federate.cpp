@@ -8,6 +8,8 @@
 #include <limits>
 #include <map>
 
+#include "obs/export.hpp"
+
 namespace appclass::obs {
 namespace {
 
@@ -578,25 +580,6 @@ bool parse_trace_event(JsonScanner& scanner, ChromeTraceEvent& event) {
     if (!ok) return false;
     if (scanner.consume(',')) continue;
     return scanner.consume('}');
-  }
-}
-
-void json_escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\n': out.append("\\n"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out.append(buffer);
-        } else {
-          out.push_back(c);
-        }
-    }
   }
 }
 

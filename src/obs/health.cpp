@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/export.hpp"
 #include "obs/log.hpp"
 
 namespace appclass::obs {
@@ -18,14 +19,12 @@ const std::vector<double>& share_buckets() {
 
 std::atomic<ModelHealth*> g_instance{nullptr};
 
-/// Minimal JSON string escaping for node IPs / class names.
+/// Node IPs arrive unchecked off the wire, so they are escaped fully.
 void append_escaped(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') out << '\\';
-    out << ch;
-  }
-  out << '"';
+  std::string quoted = "\"";
+  json_escape_into(quoted, text);
+  quoted += '"';
+  out << quoted;
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <csignal>
 #include <cstdio>
 
+#include "obs/export.hpp"
+
 namespace appclass::obs {
 namespace {
 
@@ -29,25 +31,6 @@ const EpochAnchor& recorder_epoch() noexcept {
     return anchor;
   }();
   return epoch;
-}
-
-void json_escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\n': out.append("\\n"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out.append(buffer);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
 }
 
 void append_hex(std::string& out, std::uint64_t v) {

@@ -10,8 +10,8 @@
 //     crash loop — the supervisor gives up instead of burning CPU on a
 //     worker that can never come up (a poisoned checkpoint, a bad model);
 //   * SIGTERM/SIGINT to the supervisor is forwarded to the child, which
-//     gets `term_grace_s` to shut down gracefully (drain, flush WAL,
-//     final checkpoint) before SIGKILL.
+//     gets `term_grace_s` to shut down gracefully (the stop order in
+//     docs/serving.md "Lifecycle") before SIGKILL.
 //
 // The child sees APPCLASS_SUPERVISED_RESTARTS in its environment (its
 // restart ordinal) so the worker can expose the count on /metrics — the

@@ -1,13 +1,23 @@
 // Serving-API tests: per-mode flag parsing of the unified ServeOptions
-// surface, deterministic composition text, and the shard-merge identity
-// (merge of disjoint per-shard texts == the single-process text).
+// surface and the CLI's one integer grammar, deterministic composition
+// text, the shard-merge identity (merge of disjoint per-shard texts ==
+// the single-process text), and the same identity end to end on an
+// in-process 1+2 fleet.
 #include "dist/serving.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
+#include <thread>
 
+#include "core/serialize.hpp"
+#include "core/trainer.hpp"
 #include "core_test_util.hpp"
+#include "dist/http.hpp"
 
 namespace appclass::serving {
 namespace {
@@ -115,6 +125,36 @@ TEST(DistServing, ParseRejectsNonDigitNumericFlags) {
   const ParseResult ok = parse_serve_args("m", {"--port=8080"});
   ASSERT_TRUE(ok.options.has_value());
   EXPECT_EQ(ok.options->port, 8080);
+}
+
+/// Exit code of the built CLI run with `args` (shell words), or -1 when
+/// it did not exit normally.
+int cli_exit_code(const std::string& args) {
+  const int status = std::system(
+      (std::string(APPCLASS_CLI_PATH) + " " + args + " >/dev/null 2>&1")
+          .c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(DistServing, CliRejectsNonDigitIntegerFlags) {
+  // The global and chaos integer flags share the serve flags' grammar:
+  // strtoll read "--threads=+4" and "--seed=' 7'" as valid numbers.
+  const std::vector<std::string> invalid = {
+      "--threads=+4 apps",
+      "'--threads= 4' apps",
+      "--threads=-1 apps",
+      "--threads=4x apps",
+      "--stats-every=+5 apps",
+      "--stats-every=0 apps",
+      "'--stats-every=5 ' apps",
+      "chaos /dev/null '--seed= 7'",
+      "chaos /dev/null --seed=+7",
+      "chaos /dev/null --seed=0x7",
+  };
+  for (const auto& args : invalid)
+    EXPECT_EQ(cli_exit_code(args), 2) << args;
+  // Plain digit strings still parse.
+  EXPECT_EQ(cli_exit_code("--threads=4 --stats-every=5 apps"), 0);
 }
 
 TEST(DistServing, ParseKeepsLegacySingleModeFlags) {
@@ -227,6 +267,79 @@ TEST(DistServing, MergeOfEmptyShardsIsAnEmptyComposition) {
   EXPECT_EQ(merge_composition_texts(
                 {composition_text(empty), composition_text(empty)}),
             composition_text(empty));
+}
+
+/// Polls `path` on a local scrape port until its body contains `needle`.
+bool wait_for(std::uint16_t port, const char* path, const char* needle) {
+  for (int i = 0; i < 1200; ++i) {
+    const auto body = dist::http_get("127.0.0.1", port, path);
+    if (body && body->find(needle) != std::string::npos) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  return false;
+}
+
+TEST(DistServing, InProcessFleetCompositionMatchesSingleProcess) {
+  // The CI topology smoke's byte identity, in one process without fork:
+  // a single-mode node and a coordinator over two worker nodes replay
+  // the same cycles on ephemeral ports, each node with its own state dir.
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "appclass_fleet_XXXXXX")
+                        .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  ServeOptions base;
+  base.model_path = dir + "/model.txt";
+  base.port = 0;
+  base.cycles = 8;
+  core::save_pipeline_file(core::make_trained_pipeline(), base.model_path);
+
+  ServeOptions single = base;
+  single.state_dir = dir + "/single";
+  const auto single_node = make_node_server(single);
+  ASSERT_TRUE(single_node->start());
+
+  ServeOptions coordinated = base;
+  coordinated.mode = ServeMode::kCoordinator;
+  coordinated.fleet_scrape_every_ms = 100;
+  std::vector<std::unique_ptr<Component>> workers;
+  for (int i = 0; i < 2; ++i) {
+    ServeOptions worker = base;
+    worker.mode = ServeMode::kWorker;
+    worker.cycles = 0;
+    worker.state_dir = dir + "/worker" + std::to_string(i);
+    workers.push_back(make_node_server(worker));
+    ASSERT_TRUE(workers.back()->start());
+    coordinated.workers.push_back({.scrape_port = workers.back()->port(),
+                                   .ingest_port =
+                                       workers.back()->ingest_port()});
+  }
+  const auto coordinator = make_coordinator(coordinated);
+  ASSERT_TRUE(coordinator->start());
+
+  ASSERT_TRUE(wait_for(single_node->port(), "/replay", "\"complete\":true"));
+  ASSERT_TRUE(wait_for(coordinator->port(), "/replay", "\"complete\":true"));
+  const auto expected =
+      dist::http_get("127.0.0.1", single_node->port(), "/composition");
+  const auto merged =
+      dist::http_get("127.0.0.1", coordinator->port(), "/composition");
+  ASSERT_TRUE(expected && merged);
+  EXPECT_EQ(*merged, *expected);
+  EXPECT_NE(expected->find("\nnode 10.0.4.1 "), std::string::npos);
+  // Both shards carry nodes, so the identity exercises a real merge.
+  for (const auto& worker : workers) {
+    const auto part =
+        dist::http_get("127.0.0.1", worker->port(), "/composition");
+    ASSERT_TRUE(part);
+    EXPECT_NE(part->find("\nnode "), std::string::npos);
+  }
+
+  coordinator->stop();
+  for (const auto& worker : workers) worker->stop();
+  single_node->stop();
+  EXPECT_EQ(coordinator->port(), 0);
+  EXPECT_EQ(workers[0]->port(), 0);
+  EXPECT_EQ(single_node->port(), 0);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

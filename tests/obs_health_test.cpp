@@ -218,6 +218,18 @@ TEST(ModelHealth, PerClassAndPerNodeScorecards) {
   EXPECT_NE(nodes.find("\"last_class\":\"io\""), std::string::npos);
 }
 
+TEST(ModelHealth, NodeJsonEscapesControlCharacters) {
+  // Node ips arrive unchecked off the wire (monitor/wire.cpp decodes
+  // them verbatim), so a control byte must not make /nodes invalid JSON.
+  obs::ModelHealth health(small_health_options());
+  health.record(make_sample("bad\nip\x01", 0));
+  const std::string nodes = health.nodes_json();
+  EXPECT_NE(nodes.find("\"node\":\"bad\\nip\\u0001\""), std::string::npos)
+      << nodes;
+  for (const char c : nodes)
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << nodes;
+}
+
 TEST(ModelHealth, NodeCardinalityIsBoundedIntoOther) {
   obs::ModelHealth health(small_health_options());  // top_nodes = 2
   health.record(make_sample("n1", 0));

@@ -114,8 +114,11 @@ TEST(ObsTrace, CrossThreadParentingIsDeterministic) {
     });
   }
 
+  // `tasks` points into `events`, so the vector is a named local.
+  const std::vector<obs::TraceEvent> events =
+      obs::TraceRecorder::global().events();
   std::vector<const obs::TraceEvent*> tasks;
-  for (const auto& e : obs::TraceRecorder::global().events())
+  for (const auto& e : events)
     if (e.name == "pool_task") tasks.push_back(&e);
   ASSERT_EQ(tasks.size(), 2u);
   EXPECT_NE(tasks[0]->tid, tasks[1]->tid);

@@ -49,8 +49,8 @@
 //       --sync-every records between interval syncs), the classifier
 //       state is checkpointed atomically every --checkpoint-every drains,
 //       and startup recovers checkpoint + WAL tail into bit-identical
-//       state (docs/robustness.md). SIGTERM/SIGINT shut down gracefully:
-//       drain, flush the WAL, write a final checkpoint, exit 0.
+//       state (docs/robustness.md). SIGTERM/SIGINT shut down gracefully
+//       and exit 0 (the stop order is docs/serving.md "Lifecycle").
 //       --supervised forks the worker under a watchdog that restarts it
 //       on crashes with exponential backoff and crash-loop detection.
 //       --mode=worker serves one shard: snapshots arrive as checksummed
@@ -100,11 +100,11 @@
 #include <fstream>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fs.hpp"
 #include "core/feature_selection.hpp"
 #include "core/robustness.hpp"
 #include "dist/serving.hpp"
@@ -181,31 +181,6 @@ std::optional<double> parse_double(const std::string& text) {
   return v;
 }
 
-std::optional<long long> parse_int(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return std::nullopt;
-  return v;
-}
-
-std::vector<std::string> split_csv_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::istringstream is(text);
-  std::string item;
-  while (std::getline(is, item, ',')) out.push_back(item);
-  return out;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open " + path + " for write");
@@ -256,7 +231,8 @@ int cmd_classify(const std::string& model_path,
                  const std::string& pool_path) {
   core::ClassificationPipeline pipeline = core::load_pipeline_file(model_path);
   pipeline.set_parallelism(g_threads);
-  const metrics::DataPool pool = metrics::from_csv(read_file(pool_path));
+  const metrics::DataPool pool =
+      metrics::from_csv(common::read_file_or_throw(pool_path));
   if (pool.empty()) {
     std::fprintf(stderr, "pool %s holds no snapshots\n", pool_path.c_str());
     return 1;
@@ -328,7 +304,8 @@ int cmd_trace_record(const std::string& app, const std::string& path) {
 
 int cmd_trace_replay(const std::string& trace_path,
                      const std::string& pool_path) {
-  const auto trace = workloads::trace_from_csv(read_file(trace_path));
+  const auto trace =
+      workloads::trace_from_csv(common::read_file_or_throw(trace_path));
   sim::TestbedOptions opts;
   opts.seed = 1;
   opts.four_vms = false;
@@ -351,13 +328,19 @@ int cmd_trace_replay(const std::string& trace_path,
 int cmd_chaos(const std::string& out_path,
               const std::vector<std::string>& flags) {
   core::ChaosOptions options;
+  long long seed = static_cast<long long>(options.seed);
+  const serving::IntFlag int_flags[] = {
+      {.name = "--seed=", .field = &seed, .min = 0, .what = "seed"}};
   for (const auto& flag : flags) {
-    if (flag == "--no-sanitize") {
+    bool bad = false;
+    if (serving::parse_int_flag(int_flags, flag, "chaos: ", bad)) {
+      if (bad) return 2;
+    } else if (flag == "--no-sanitize") {
       options.sanitize = false;
     } else if (flag.rfind("--rates=", 0) == 0) {
       options.rates.clear();
       for (const auto& token :
-           split_csv_list(flag.substr(std::strlen("--rates=")))) {
+           serving::split_list(flag.substr(std::strlen("--rates=")), ',')) {
         const auto rate = parse_double(token);
         if (!rate || *rate < 0.0 || *rate > 1.0) {
           std::fprintf(stderr,
@@ -374,7 +357,7 @@ int cmd_chaos(const std::string& out_path,
     } else if (flag.rfind("--kinds=", 0) == 0) {
       options.kinds.clear();
       for (const auto& token :
-           split_csv_list(flag.substr(std::strlen("--kinds=")))) {
+           serving::split_list(flag.substr(std::strlen("--kinds=")), ',')) {
         const auto kind = core::fault_kind_from_string(token);
         if (!kind) {
           std::fprintf(stderr, "chaos: unknown fault kind '%s' (known:",
@@ -387,20 +370,13 @@ int cmd_chaos(const std::string& out_path,
         }
         options.kinds.push_back(*kind);
       }
-    } else if (flag.rfind("--seed=", 0) == 0) {
-      const auto seed = parse_int(flag.substr(std::strlen("--seed=")));
-      if (!seed || *seed < 0) {
-        std::fprintf(stderr, "chaos: bad seed '%s'\n",
-                     flag.substr(std::strlen("--seed=")).c_str());
-        return 2;
-      }
-      options.seed = static_cast<std::uint64_t>(*seed);
     } else {
       std::fprintf(stderr, "chaos: unknown flag '%s'\n", flag.c_str());
       return 2;
     }
   }
 
+  options.seed = static_cast<std::uint64_t>(seed);
   std::printf("training on the five canonical simulated runs...\n");
   core::PipelineOptions pipeline_options;
   pipeline_options.parallelism = g_threads;
@@ -449,7 +425,8 @@ int cmd_trace_dump(const std::string& model_path,
   core::ClassificationPipeline pipeline =
       core::load_pipeline_file(model_path);
   pipeline.set_parallelism(g_threads);
-  const metrics::DataPool pool = metrics::from_csv(read_file(pool_path));
+  const metrics::DataPool pool =
+      metrics::from_csv(common::read_file_or_throw(pool_path));
   if (pool.empty()) {
     std::fprintf(stderr, "pool %s holds no snapshots\n", pool_path.c_str());
     return 1;
@@ -513,48 +490,27 @@ int run_command(const std::vector<std::string>& args) {
 }
 
 /// Background --stats-every ticker: dumps the metrics-registry snapshot
-/// to stderr every `seconds` until destroyed (condition variable, so
-/// shutdown is immediate rather than waiting out the period).
-class PeriodicStats {
- public:
-  PeriodicStats(long long seconds, obs::ExportFormat format)
-      : seconds_(seconds), format_(format), thread_([this] { loop(); }) {}
-
-  ~PeriodicStats() {
-    {
-      const std::lock_guard lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
-  void loop() {
-    std::unique_lock lock(mutex_);
-    while (!cv_.wait_for(lock, std::chrono::seconds(seconds_),
-                         [this] { return stop_; })) {
-      lock.unlock();
+/// to stderr every `seconds` until the returned thread is destroyed (its
+/// stop request wakes the wait, so shutdown does not wait out the period).
+std::jthread periodic_stats(long long seconds, obs::ExportFormat format) {
+  return std::jthread([seconds, format](std::stop_token stop) {
+    std::mutex mutex;
+    std::condition_variable_any wake;
+    std::unique_lock lock(mutex);
+    while (!wake.wait_for(lock, stop, std::chrono::seconds(seconds),
+                          [&stop] { return stop.stop_requested(); })) {
       const std::string report = obs::export_as(
-          obs::MetricsRegistry::global().snapshot(), format_);
-      std::fprintf(stderr, "== metrics (every %llds) ==\n", seconds_);
+          obs::MetricsRegistry::global().snapshot(), format);
+      std::fprintf(stderr, "== metrics (every %llds) ==\n", seconds);
       std::fwrite(report.data(), 1, report.size(), stderr);
       // Model-health scorecard summary, when a serving aggregator is live
       // (the instance pointer is how this decoupled ticker finds it).
       if (const obs::ModelHealth* health = obs::ModelHealth::instance())
         std::fprintf(stderr, "%s\n", health->summary_line().c_str());
       std::fflush(stderr);
-      lock.lock();
     }
-  }
-
-  long long seconds_;
-  obs::ExportFormat format_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
+  });
+}
 
 }  // namespace
 
@@ -567,9 +523,18 @@ int main(int argc, char** argv) {
   obs::ExportFormat stats_format = obs::ExportFormat::kTable;
   std::vector<std::string> args;
   args.reserve(static_cast<std::size_t>(argc));
+  long long threads = 1;
+  const serving::IntFlag int_flags[] = {
+      {.name = "--stats-every=", .field = &stats_every_s, .min = 1,
+       .what = "--stats-every", .hint = " (expected seconds >= 1)"},
+      {.name = "--threads=", .field = &threads, .min = 0,
+       .what = "--threads", .hint = " (expected 0, 1, 2, ...)"}};
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--log-level=", 0) == 0) {
+    bool bad = false;
+    if (serving::parse_int_flag(int_flags, arg, "", bad)) {
+      if (bad) return 2;
+    } else if (arg.rfind("--log-level=", 0) == 0) {
       const std::string level = arg.substr(std::strlen("--log-level="));
       // An invalid name falls back to whichever fallback we pass, so two
       // parses with different fallbacks disagreeing means "unknown".
@@ -593,16 +558,6 @@ int main(int argc, char** argv) {
                    "unknown stats format '%s' (expected table, json, prom)\n",
                    arg.substr(std::strlen("--stats=")).c_str());
       return 2;
-    } else if (arg.rfind("--stats-every=", 0) == 0) {
-      const auto every =
-          parse_int(arg.substr(std::strlen("--stats-every=")));
-      if (!every || *every <= 0) {
-        std::fprintf(stderr,
-                     "bad --stats-every '%s' (expected seconds >= 1)\n",
-                     arg.substr(std::strlen("--stats-every=")).c_str());
-        return 2;
-      }
-      stats_every_s = *every;
     } else if (arg == "--trace") {
       obs::set_tracing_enabled(true);
     } else if (arg.rfind("--flight-dump=", 0) == 0) {
@@ -612,21 +567,14 @@ int main(int argc, char** argv) {
         return 2;
       }
       obs::install_crash_dump(path);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const auto threads = parse_int(arg.substr(std::strlen("--threads=")));
-      if (!threads || *threads < 0) {
-        std::fprintf(stderr, "bad --threads '%s' (expected 0, 1, 2, ...)\n",
-                     arg.substr(std::strlen("--threads=")).c_str());
-        return 2;
-      }
-      g_threads = static_cast<std::size_t>(*threads);
     } else {
       args.push_back(arg);
     }
   }
+  g_threads = static_cast<std::size_t>(threads);
 
-  std::optional<PeriodicStats> ticker;
-  if (stats_every_s > 0) ticker.emplace(stats_every_s, stats_format);
+  std::jthread ticker;
+  if (stats_every_s > 0) ticker = periodic_stats(stats_every_s, stats_format);
 
   int status = 2;
   try {
