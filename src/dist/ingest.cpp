@@ -43,6 +43,16 @@ IngestListener::IngestListener(IngestListenerOptions options, Sink sink,
                                std::uint64_t start_seq)
     : options_(std::move(options)),
       sink_(std::move(sink)),
+      frames_total_(obs::MetricsRegistry::global().counter(
+          "appclass_dist_frames_total")),
+      duplicates_total_(obs::MetricsRegistry::global().counter(
+          "appclass_dist_duplicates_total")),
+      errors_total_(obs::MetricsRegistry::global().counter(
+          "appclass_dist_protocol_errors_total")),
+      connections_total_(obs::MetricsRegistry::global().counter(
+          "appclass_dist_connections_total")),
+      e2e_ingest_hist_(obs::MetricsRegistry::global().histogram(
+          "appclass_e2e_ingest_seconds")),
       expected_(start_seq) {}
 
 IngestListener::~IngestListener() { stop(); }
@@ -114,13 +124,16 @@ void IngestListener::stop() {
     return;
   }
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   // Kick the in-flight connection too, or the thread would linger until
-  // its read timeout expires.
+  // its read timeout expires. Taking it from conn_fd_ makes closing it
+  // this call's job.
   const int conn = conn_fd_.exchange(-1, std::memory_order_acq_rel);
   if (conn >= 0) ::shutdown(conn, SHUT_RDWR);
   if (thread_.joinable()) thread_.join();
+  // The accept thread reads listen_fd_ until it exits.
+  if (conn >= 0) ::close(conn);
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   APPCLASS_LOG_INFO("dist.ingest_stopped", {"port", port_});
 }
 
@@ -149,14 +162,7 @@ void IngestListener::accept_loop() {
 }
 
 void IngestListener::handle_connection(int fd) {
-  auto& registry = obs::MetricsRegistry::global();
-  auto& frames_total = registry.counter("appclass_dist_frames_total");
-  auto& duplicates_total = registry.counter("appclass_dist_duplicates_total");
-  auto& errors_total =
-      registry.counter("appclass_dist_protocol_errors_total");
-  auto& e2e_ingest_hist =
-      registry.histogram("appclass_e2e_ingest_seconds");
-  registry.counter("appclass_dist_connections_total").inc();
+  connections_total_.inc();
 
   {
     const auto hello = encode_hello({.wal_next = expected()});
@@ -179,7 +185,7 @@ void IngestListener::handle_connection(int fd) {
     }
     if (status != DecodeStatus::kOk) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      errors_total.inc();
+      errors_total_.inc();
       APPCLASS_LOG_WARN("dist.ingest_bad_frame",
                         {"status", to_string(status)});
       return;
@@ -190,7 +196,7 @@ void IngestListener::handle_connection(int fd) {
       // Retransmit of a frame that is already durable: the ack was lost
       // with the previous connection. Re-ack, do not re-ingest.
       duplicates_.fetch_add(1, std::memory_order_relaxed);
-      duplicates_total.inc();
+      duplicates_total_.inc();
       const auto ack = encode_ack(frame.seq);
       if (!send_all(fd, ack.data(), ack.size())) return;
       continue;
@@ -200,7 +206,7 @@ void IngestListener::handle_connection(int fd) {
       // A sequence gap or an off-grid snapshot breaks the frame-seq ==
       // WAL-seq invariant; there is no coherent way to ack it.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      errors_total.inc();
+      errors_total_.inc();
       APPCLASS_LOG_WARN("dist.ingest_protocol_error", {"seq", frame.seq},
                         {"expected", expected},
                         {"time", frame.snapshot.time});
@@ -225,7 +231,7 @@ void IngestListener::handle_connection(int fd) {
       APPCLASS_LOG_WARN("dist.ingest_backpressure", {"seq", frame.seq});
       return;
     }
-    frames_total.inc();
+    frames_total_.inc();
     if (frame.announce_us > 0) {
       // Announce->ingested latency across the process boundary; the two
       // hosts' wall clocks may disagree, so negative skew clamps to 0.
@@ -234,10 +240,10 @@ void IngestListener::handle_connection(int fd) {
           now_us > frame.announce_us
               ? static_cast<double>(now_us - frame.announce_us) * 1e-6
               : 0.0;
-      e2e_ingest_hist.observe(e2e_s);
+      e2e_ingest_hist_.observe(e2e_s);
       if (frame.trace.trace_id != 0 &&
-          e2e_s >= e2e_ingest_hist.exemplar_value())
-        e2e_ingest_hist.set_exemplar(e2e_s, frame.trace.trace_id);
+          e2e_s >= e2e_ingest_hist_.exemplar_value())
+        e2e_ingest_hist_.set_exemplar(e2e_s, frame.trace.trace_id);
     }
     expected_.store(expected + 1, std::memory_order_release);
     const auto ack = encode_ack(frame.seq);

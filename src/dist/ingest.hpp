@@ -36,6 +36,7 @@
 #include <thread>
 
 #include "metrics/snapshot.hpp"
+#include "obs/metrics.hpp"
 
 namespace appclass::dist {
 
@@ -98,6 +99,13 @@ class IngestListener {
 
   IngestListenerOptions options_;
   Sink sink_;
+  // Registered with the listener, so a worker that has ingested nothing
+  // yet still exports its series at zero for the fleet plane to sum.
+  obs::Counter& frames_total_;
+  obs::Counter& duplicates_total_;
+  obs::Counter& errors_total_;
+  obs::Counter& connections_total_;
+  obs::Histogram& e2e_ingest_hist_;
   std::atomic<std::uint64_t> expected_;
   int listen_fd_ = -1;
   std::atomic<int> conn_fd_{-1};

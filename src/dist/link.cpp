@@ -7,9 +7,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
-#include <thread>
+#include <cstring>
+#include <utility>
 
 #include "dist/wire.hpp"
 #include "obs/cardinality.hpp"
@@ -54,7 +56,9 @@ WorkerLink::WorkerLink(std::string host, std::uint16_t port,
           {{"peer", peer_label(host_, port_)}})),
       horizon_lag_gauge_(obs::MetricsRegistry::global().gauge(
           "appclass_dist_link_wal_horizon_lag",
-          {{"peer", peer_label(host_, port_)}})) {}
+          {{"peer", peer_label(host_, port_)}})),
+      sent_total_(obs::MetricsRegistry::global().counter(
+          "appclass_dist_link_sent_total")) {}
 
 WorkerLink::~WorkerLink() { disconnect(); }
 
@@ -63,11 +67,13 @@ bool WorkerLink::stop_requested() const {
 }
 
 void WorkerLink::disconnect() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  ack_buffer_.clear();
+  if (fd_ < 0) return;
+  // The reader blocks in recv on fd_: wake it and join it before the
+  // close, or the fd number could be reused under it.
+  ::shutdown(fd_, SHUT_RDWR);
+  if (reader_.joinable()) reader_.join();
+  ::close(fd_);
+  fd_ = -1;
 }
 
 bool WorkerLink::ensure_connected() {
@@ -134,8 +140,11 @@ bool WorkerLink::ensure_connected() {
       // them as acked (the ack itself died with the connection, so no
       // RTT sample, but announce->durable is real — this is exactly the
       // slow path the freshness SLO exists to catch).
-      while (!unacked_.empty() && unacked_.front().seq < hello.wal_next)
-        retire_front(/*acked_on_wire=*/false);
+      {
+        const std::lock_guard lock(mutex_);
+        while (!unacked_.empty() && unacked_.front().seq < hello.wal_next)
+          retire_front(/*acked_on_wire=*/false);
+      }
       if (hello.wal_next > next_seq_)
         APPCLASS_LOG_WARN("dist.link_horizon_ahead", {"port", port_},
                           {"hello", hello.wal_next}, {"next", next_seq_});
@@ -155,6 +164,9 @@ bool WorkerLink::ensure_connected() {
                         {"horizon", hello.wal_next},
                         {"resent", unacked_.size()});
     }
+    // No reader runs while the link is down, so the flag needs no lock.
+    reader_failed_ = false;
+    reader_ = std::thread([this, fd] { read_acks(fd); });
     return true;
   }
   return false;
@@ -195,6 +207,7 @@ void WorkerLink::retire_front(bool acked_on_wire) {
   }
   acked_.fetch_add(1, std::memory_order_relaxed);
   unacked_.pop_front();
+  in_flight_.store(unacked_.size(), std::memory_order_relaxed);
   horizon_lag_gauge_.set(static_cast<double>(unacked_.size()));
 }
 
@@ -204,72 +217,106 @@ void WorkerLink::apply_ack(std::uint64_t seq) {
     retire_front(/*acked_on_wire=*/true);
 }
 
-bool WorkerLink::drain_acks(bool block) {
-  std::uint8_t buffer[1024];
+void WorkerLink::read_acks(int fd) {
+  // Acks are fixed-size; a recv that splits one leaves its head at the
+  // front of the buffer for the next read.
+  std::array<std::uint8_t, 64 * kAckBytes> buffer;
+  std::size_t filled = 0;
+  bool ok = true;
+  try {
+    while (ok) {
+      const ssize_t n =
+          ::recv(fd, buffer.data() + filled, buffer.size() - filled, 0);
+      // A signal, or the receive timeout of a link with nothing in
+      // flight: the waits in send() and flush() bound how long an ack
+      // may take.
+      if (n < 0 &&
+          (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
+        continue;
+      if (n <= 0) break;  // EOF, socket error, or disconnect()'s shutdown
+      filled += static_cast<std::size_t>(n);
+      const std::size_t whole = filled - filled % kAckBytes;
+      {
+        const std::lock_guard lock(mutex_);
+        for (std::size_t at = 0; ok && at < whole; at += kAckBytes) {
+          std::uint64_t seq = 0;
+          ok = decode_ack({buffer.data() + at, kAckBytes}, seq) ==
+               DecodeStatus::kOk;
+          if (ok) apply_ack(seq);
+        }
+      }
+      acked_cv_.notify_all();
+      std::memmove(buffer.data(), buffer.data() + whole, filled - whole);
+      filled -= whole;
+    }
+  } catch (...) {
+    const std::lock_guard lock(mutex_);
+    reader_error_ = std::current_exception();
+  }
+  {
+    const std::lock_guard lock(mutex_);
+    reader_failed_ = true;
+  }
+  acked_cv_.notify_all();
+}
+
+bool WorkerLink::await_acks(std::size_t bound) {
+  const auto timeout = std::chrono::milliseconds(options_.io_timeout_ms);
   for (;;) {
-    const ssize_t n =
-        ::recv(fd_, buffer, sizeof buffer, block ? 0 : MSG_DONTWAIT);
-    if (n < 0 && errno == EINTR) continue;  // signal, not failure: retry
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Non-blocking pass with nothing pending is fine; a blocking wait
-      // timing out means the worker stalled — reconnect and resend.
-      return !block;
+    if (stop_requested() || !ensure_connected()) return false;
+    std::unique_lock lock(mutex_);
+    const std::uint64_t before = acked_.load(std::memory_order_relaxed);
+    acked_cv_.wait_for(lock, timeout, [&] {
+      return reader_failed_ || unacked_.size() < bound ||
+             acked_.load(std::memory_order_relaxed) != before;
+    });
+    if (reader_error_)
+      std::rethrow_exception(std::exchange(reader_error_, nullptr));
+    if (!reader_failed_) {
+      if (unacked_.size() < bound) return true;
+      // Still retiring: re-check the stop predicate, then wait again.
+      if (acked_.load(std::memory_order_relaxed) != before) continue;
     }
-    if (n <= 0) return false;
-    ack_buffer_.insert(ack_buffer_.end(), buffer, buffer + n);
-    while (ack_buffer_.size() >= kAckBytes) {
-      std::uint64_t seq = 0;
-      if (decode_ack({ack_buffer_.data(), kAckBytes}, seq) !=
-          DecodeStatus::kOk)
-        return false;
-      apply_ack(seq);
-      ack_buffer_.erase(ack_buffer_.begin(),
-                        ack_buffer_.begin() + kAckBytes);
-    }
-    if (block) return true;  // got at least one read; caller re-checks
+    // EOF, a bad ack, or no ack for io_timeout_ms (the worker stalled):
+    // reconnect and resend.
+    lock.unlock();
+    disconnect();
   }
 }
 
 bool WorkerLink::send(const metrics::Snapshot& snapshot,
                       const obs::TraceContext& trace) {
-  for (;;) {
-    if (stop_requested()) return false;
-    if (!ensure_connected()) return false;
-    // Window full: wait for acks before adding more in-flight data.
-    if (unacked_.size() >= options_.window) {
-      if (!drain_acks(/*block=*/true)) disconnect();
-      continue;
-    }
-    break;
-  }
+  // Wait for room in the window.
+  if (!await_acks(options_.window)) return false;
 
   const std::uint64_t announce_us = wall_now_us();
   Pending pending{next_seq_,
                   encode_frame(snapshot, next_seq_, trace, announce_us),
-                  announce_us, trace.trace_id, steady_now_us()};
+                  announce_us, trace.trace_id, 0};
   ++next_seq_;
-  unacked_.push_back(std::move(pending));
   sent_.fetch_add(1, std::memory_order_relaxed);
-  horizon_lag_gauge_.set(static_cast<double>(unacked_.size()));
-  obs::MetricsRegistry::global()
-      .counter("appclass_dist_link_sent_total")
-      .inc();
-
-  if (!write_bytes(unacked_.back().bytes)) disconnect();
-  // Opportunistically retire acks so the window rarely fills.
-  if (fd_ >= 0 && !drain_acks(/*block=*/false)) disconnect();
-  // A write/read failure leaves the frame in unacked_; the reconnect on
-  // the next call resends it. The frame is committed either way.
+  sent_total_.inc();
+  bool written = false;
+  {
+    // The write happens under the lock so the reader cannot retire the
+    // frame (on an ack for a seq not yet sent) while its bytes are read.
+    const std::lock_guard lock(mutex_);
+    pending.sent_steady_us = steady_now_us();
+    unacked_.push_back(std::move(pending));
+    in_flight_.store(unacked_.size(), std::memory_order_relaxed);
+    horizon_lag_gauge_.set(static_cast<double>(unacked_.size()));
+    written = write_bytes(unacked_.back().bytes);
+  }
+  // A failed write leaves the frame in unacked_; the reconnect in the
+  // next call resends it. The frame is committed either way.
+  if (!written) disconnect();
   return true;
 }
 
 bool WorkerLink::flush() {
-  while (!unacked_.empty()) {
-    if (stop_requested()) return false;
-    if (!ensure_connected()) return false;
-    if (!drain_acks(/*block=*/true)) disconnect();
-  }
-  return true;
+  // Nothing in flight: nothing to wait for, and no reason to reconnect.
+  if (in_flight() == 0) return true;
+  return await_acks(1);
 }
 
 }  // namespace appclass::dist

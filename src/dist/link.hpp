@@ -10,25 +10,37 @@
 //     sequence); on reconnects, unacked frames below the horizon were
 //     durable before the crash and are retired, the rest are resent in
 //     order.
+//   * each connection has its own ack reader thread, started after the
+//     hello and the resend. It blocks in recv and retires frames the
+//     moment their cumulative ack arrives, so the sender learns a frame
+//     is durable at fsync speed, not at its next send.
 //   * send() stamps the next sequence number, buffers the encoded frame
 //     in the unacked window, and writes it. When the window is full the
-//     call blocks draining acks — bounded in-flight data is the
-//     backpressure: a worker that stops acking stops the coordinator.
-//   * a send/recv failure tears the connection down and the next call
-//     reconnects with exponential backoff, retrying until the stop
-//     predicate fires — a SIGKILLed worker being restarted by its
+//     call waits for the reader to retire frames — bounded in-flight
+//     data is the backpressure: a worker that stops acking stops the
+//     coordinator.
+//   * a write failure, the reader seeing EOF or a bad ack, or no ack for
+//     `io_timeout_ms` while waiting tears the connection down, and the
+//     next wait reconnects with exponential backoff, retrying until the
+//     stop predicate fires — a SIGKILLed worker being restarted by its
 //     supervisor looks like a long reconnect, not data loss.
 //
-// Single-threaded by design: the coordinator's replay loop is the only
-// caller, so per-link ordering (the property the bit-identical aggregate
-// rests on) needs no locking.
+// Threads: send() and flush() come from one caller (the coordinator's
+// replay loop), which alone connects, writes and tears down, so per-link
+// ordering (the property the bit-identical aggregate rests on) holds.
+// The window is shared with the reader under the link mutex. Stats are
+// atomics, readable from any thread.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "metrics/snapshot.hpp"
@@ -40,8 +52,8 @@ namespace appclass::dist {
 struct WorkerLinkOptions {
   /// Max frames in flight before send() blocks on acks.
   std::size_t window = 64;
-  /// Socket read/write timeouts; an ack wait that trips this tears the
-  /// connection down and reconnects.
+  /// Socket timeouts, and the longest a full window or a flush waits
+  /// without any ack before the connection is torn down and reconnected.
   int io_timeout_ms = 2000;
   /// Reconnect backoff: initial, doubling to max.
   int backoff_initial_ms = 100;
@@ -51,7 +63,11 @@ struct WorkerLinkOptions {
   std::function<bool()> should_stop;
   /// Called once per frame when it becomes durable on the worker, with
   /// the announce->durable latency in seconds — the freshness SLI feed
-  /// (obs::SloTracker). Runs on the replay thread; keep it cheap.
+  /// (obs::SloTracker). Runs on the link's reader thread (or, for frames
+  /// a reconnect hello retires, on the sending thread) under the link
+  /// mutex, so calls are serialized and in seq order per link. Keep it
+  /// cheap, and do not call send() or flush() from it. What it throws
+  /// on the reader is rethrown from the next send() or flush() wait.
   std::function<void(double)> on_durable;
 };
 
@@ -75,7 +91,7 @@ class WorkerLink {
   bool flush();
 
   // Stats are atomics so a scrape-route handler on another thread can
-  // read them while the replay loop sends.
+  // read them while the replay loop sends and the reader retires.
   std::uint64_t sent() const noexcept {
     return sent_.load(std::memory_order_relaxed);
   }
@@ -85,8 +101,9 @@ class WorkerLink {
   std::uint64_t reconnects() const noexcept {
     return reconnects_.load(std::memory_order_relaxed);
   }
-  std::size_t in_flight() const noexcept { return unacked_.size(); }
-  bool connected() const noexcept { return fd_ >= 0; }
+  std::size_t in_flight() const noexcept {
+    return in_flight_.load(std::memory_order_relaxed);
+  }
 
   const std::string& host() const noexcept { return host_; }
   std::uint16_t port() const noexcept { return port_; }
@@ -101,11 +118,16 @@ class WorkerLink {
   };
 
   bool ensure_connected();
+  /// Stops the reader (shutdown wakes its recv), joins it, then closes.
   void disconnect();
   bool stop_requested() const;
   bool write_bytes(const std::vector<std::uint8_t>& bytes);
-  /// Reads acks; `block` waits for at least one (up to the timeout).
-  bool drain_acks(bool block);
+  /// Connects if needed and waits until fewer than `bound` frames are
+  /// unacked; false only when the stop predicate fired first.
+  bool await_acks(std::size_t bound);
+  /// The reader thread's loop over one connection.
+  void read_acks(int fd);
+  /// Retires every unacked frame up to `seq` (acks are cumulative).
   void apply_ack(std::uint64_t seq);
   /// Retires the head unacked frame: e2e latency histograms, exemplars,
   /// and the on_durable hook. `acked_on_wire` false = retired via a
@@ -120,14 +142,25 @@ class WorkerLink {
   obs::Histogram& e2e_durable_hist_;
   obs::Histogram& ack_rtt_hist_;
   obs::Gauge& horizon_lag_gauge_;
+  obs::Counter& sent_total_;
+  // Owned by the sending thread: only it connects, writes and closes.
   int fd_ = -1;
   bool seq_adopted_ = false;
   std::uint64_t next_seq_ = 0;
+  // Guards the window and the reader's verdict; acked_cv_ is signalled
+  // whenever the reader retires frames or gives up on the connection.
+  std::mutex mutex_;
+  std::condition_variable acked_cv_;
   std::deque<Pending> unacked_;
-  std::vector<std::uint8_t> ack_buffer_;
+  bool reader_failed_ = false;
+  /// An exception thrown on the reader (by on_durable), rethrown from
+  /// the sending thread's next wait.
+  std::exception_ptr reader_error_;
+  std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> acked_{0};
   std::atomic<std::uint64_t> reconnects_{0};
+  std::thread reader_;
 };
 
 }  // namespace appclass::dist

@@ -14,6 +14,7 @@
 #include "common/fs.hpp"
 #include "monitor/wire.hpp"
 #include "obs/log.hpp"
+#include "obs/span.hpp"
 
 namespace appclass::persist {
 namespace {
@@ -99,7 +100,13 @@ std::optional<FsyncPolicy> fsync_policy_from_string(
 
 WalWriter::WalWriter(std::string dir, WalOptions options,
                      std::uint64_t next_seq)
-    : dir_(std::move(dir)), options_(options), next_seq_(next_seq) {
+    : dir_(std::move(dir)),
+      options_(options),
+      append_seconds_(obs::MetricsRegistry::global().histogram(
+          "appclass_persist_wal_append_seconds")),
+      fsync_seconds_(obs::MetricsRegistry::global().histogram(
+          "appclass_persist_wal_fsync_seconds")),
+      next_seq_(next_seq) {
   APPCLASS_EXPECTS(options_.sync_every >= 1);
   if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST)
     common::throw_errno("cannot create WAL directory:", dir_);
@@ -137,9 +144,16 @@ void WalWriter::flush_buffer() {
   buffer_.clear();
 }
 
+void WalWriter::fsync_segment() {
+  const obs::ScopedTimer timer(fsync_seconds_);
+  if (::fsync(fd_) != 0)
+    common::throw_errno("WAL fsync failed:", segment_path_);
+}
+
 std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
   if (crashed_ || fd_ < 0)
     throw std::runtime_error("WAL writer is closed: " + segment_path_);
+  const obs::ScopedTimer timer(append_seconds_);
 
   const std::vector<std::uint8_t> payload = monitor::encode_packet(snapshot);
   const std::size_t record_size = 4 + 8 + 4 + payload.size() + 8;
@@ -148,8 +162,7 @@ std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
     // Rotate: the outgoing segment is flushed AND fsynced, so only the
     // active segment can ever lose records to a crash.
     flush_buffer();
-    if (::fsync(fd_) != 0)
-      common::throw_errno("WAL fsync failed:", segment_path_);
+    fsync_segment();
     ::close(fd_);
     open_segment();
   }
@@ -186,8 +199,7 @@ std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
 void WalWriter::sync() {
   if (crashed_ || fd_ < 0) return;
   flush_buffer();
-  if (::fsync(fd_) != 0)
-    common::throw_errno("WAL fsync failed:", segment_path_);
+  fsync_segment();
   unsynced_records_ = 0;
 }
 

@@ -27,6 +27,10 @@
 // `sync_every` records (loss bounded by the interval), kNever leaves
 // flushing to the page cache / buffer threshold. bench/recovery_curve
 // quantifies the loss/throughput trade.
+//
+// Each writer times its appends (appclass_persist_wal_append_seconds)
+// and every fsync it issues (appclass_persist_wal_fsync_seconds); under
+// kAlways the fsync is most of a durable ack. Replay records nothing.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +40,7 @@
 #include <vector>
 
 #include "metrics/snapshot.hpp"
+#include "obs/metrics.hpp"
 
 namespace appclass::persist {
 
@@ -96,9 +101,12 @@ class WalWriter {
  private:
   void open_segment();
   void flush_buffer();
+  void fsync_segment();
 
   std::string dir_;
   WalOptions options_;
+  obs::Histogram& append_seconds_;
+  obs::Histogram& fsync_seconds_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t appended_ = 0;
   std::uint64_t segment_first_seq_ = 0;

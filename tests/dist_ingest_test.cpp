@@ -1,7 +1,9 @@
 // Ingest-listener tests: a real two-process socket loopback proving WAL
 // log order == send order, exactly-once resume across a second sender
-// process, and the protocol edges (duplicate re-ack, sequence gap,
-// off-grid frame) driven by a raw in-process client.
+// process, the protocol edges (duplicate re-ack, sequence gap, off-grid
+// frame) driven by a raw in-process client, and the link's ack reader
+// (acks retired without another send, listener restart mid-window, a
+// sink stalled past the link's timeout, a throwing on_durable).
 #include "dist/ingest.hpp"
 
 #include <arpa/inet.h>
@@ -11,14 +13,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "dist/link.hpp"
 #include "dist/wire.hpp"
+#include "obs/metrics.hpp"
 #include "persist/wal.hpp"
 
 namespace appclass::dist {
@@ -281,6 +286,186 @@ TEST(DistIngest, HelloAdvertisesTheRecoveredHorizon) {
   const auto hello = client.read_hello();
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(hello->wal_next, 17u);
+  listener.stop();
+}
+
+TEST(DistIngest, ListenerExportsItsSeriesBeforeAnyConnection) {
+  // A worker whose shard has no nodes yet still exports its ingest
+  // counters, at zero, for the coordinator's federation to sum.
+  IngestListener listener(
+      {.port = 0, .sampling_interval_s = 5},
+      [](const metrics::Snapshot&) { return true; }, 0);
+  ASSERT_TRUE(listener.start());
+  const obs::RegistrySnapshot registry =
+      obs::MetricsRegistry::global().snapshot();
+  EXPECT_NE(registry.find_counter("appclass_dist_frames_total"), nullptr);
+  listener.stop();
+}
+
+/// Worker-side sink for the link tests: records which grid_snapshot
+/// index each ingest carried, in ingest order. `before_ingest` runs
+/// first on every frame and may block (a held or stalled sink).
+struct RecordingSink {
+  std::mutex mutex;
+  std::vector<std::uint64_t> ingested;
+  std::function<void(std::uint64_t)> before_ingest;
+
+  IngestListener::Sink sink() {
+    return [this](const metrics::Snapshot& snapshot) {
+      const auto index = static_cast<std::uint64_t>(snapshot.time / 5 - 1);
+      if (before_ingest) before_ingest(index);
+      const std::lock_guard lock(mutex);
+      ingested.push_back(index);
+      return true;
+    };
+  }
+
+  /// on_durable hook: the n-th notice must come after the worker has
+  /// ingested frame n (ack => durable, notices in seq order).
+  std::function<void(double)> notice_counter(std::uint64_t& notices) {
+    return [this, &notices](double) {
+      const std::lock_guard lock(mutex);
+      EXPECT_LT(notices, ingested.size());
+      ++notices;
+    };
+  }
+
+  std::vector<std::uint64_t> frames() {
+    const std::lock_guard lock(mutex);
+    return ingested;
+  }
+};
+
+std::vector<std::uint64_t> iota_frames(std::uint64_t n) {
+  std::vector<std::uint64_t> out(n);
+  for (std::uint64_t i = 0; i < n; ++i) out[i] = i;
+  return out;
+}
+
+TEST(DistIngest, AckRetiresWithoutAnotherSend) {
+  // The link's reader retires an ack when it arrives: neither another
+  // send() nor a flush() is needed for the frame to count as durable.
+  RecordingSink worker;
+  IngestListener listener({.port = 0, .sampling_interval_s = 5},
+                          worker.sink(), 0);
+  ASSERT_TRUE(listener.start());
+  std::uint64_t notices = 0;
+  WorkerLinkOptions options;
+  options.on_durable = worker.notice_counter(notices);
+  WorkerLink link("127.0.0.1", listener.port(), options);
+  ASSERT_TRUE(link.send(grid_snapshot(0), {}));
+  wait_for([&] { return link.acked() == 1; });
+  EXPECT_EQ(link.in_flight(), 0u);
+  {
+    const std::lock_guard lock(worker.mutex);
+    EXPECT_EQ(notices, 1u);
+  }
+  listener.stop();
+}
+
+TEST(DistIngest, ListenerRestartMidWindowResumesExactlyOnce) {
+  // The listener stops with frames in flight (one held inside its sink)
+  // and comes back on the same port at its expected() horizon: the link
+  // reconnects once, retires what became durable, resends the rest.
+  constexpr std::uint64_t kFrames = 16;
+  constexpr std::uint64_t kHeld = 6;
+  RecordingSink worker;
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  worker.before_ingest = [&](std::uint64_t index) {
+    if (index != kHeld || release.load()) return;
+    holding.store(true);
+    while (!release.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  IngestListener first({.port = 0, .sampling_interval_s = 5}, worker.sink(),
+                       0);
+  ASSERT_TRUE(first.start());
+
+  std::uint64_t notices = 0;
+  WorkerLinkOptions options;
+  options.backoff_initial_ms = 20;
+  options.on_durable = worker.notice_counter(notices);
+  WorkerLink link("127.0.0.1", first.port(), options);
+  for (std::uint64_t i = 0; i < kFrames; ++i)
+    ASSERT_TRUE(link.send(grid_snapshot(i), {}));
+  wait_for([&] { return holding.load(); });
+  EXPECT_GT(link.in_flight(), 0u);
+
+  // stop() kicks the connection, then joins the listener thread, which
+  // is still inside the held sink until the frame is released.
+  std::thread stopper([&] { first.stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release.store(true);
+  stopper.join();
+
+  IngestListener second({.port = first.port(), .sampling_interval_s = 5},
+                        worker.sink(), first.expected());
+  ASSERT_TRUE(second.start());
+  ASSERT_TRUE(link.flush());
+  second.stop();
+
+  EXPECT_EQ(worker.frames(), iota_frames(kFrames));
+  EXPECT_EQ(link.sent(), kFrames);
+  EXPECT_EQ(link.acked(), link.sent());
+  EXPECT_EQ(link.reconnects(), 1u);
+  EXPECT_EQ(link.in_flight(), 0u);
+  const std::lock_guard lock(worker.mutex);
+  EXPECT_EQ(notices, kFrames);
+}
+
+TEST(DistIngest, StalledSinkTearsDownAndResumesExactlyOnce) {
+  // A sink stalled past the link's io timeout: the link tears the
+  // connection down and reconnects. The listener serves one connection
+  // at a time, so the new hello already counts the stalled frame; every
+  // frame must reach the sink once, any retransmit only re-acked.
+  constexpr std::uint64_t kFrames = 8;
+  constexpr std::uint64_t kStalled = 2;
+  RecordingSink worker;
+  std::atomic<bool> stalled{false};
+  worker.before_ingest = [&](std::uint64_t index) {
+    if (index == kStalled && !stalled.exchange(true))
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  };
+  IngestListener listener({.port = 0, .sampling_interval_s = 5},
+                          worker.sink(), 0);
+  ASSERT_TRUE(listener.start());
+
+  std::uint64_t notices = 0;
+  WorkerLinkOptions options;
+  options.io_timeout_ms = 200;
+  options.backoff_initial_ms = 20;
+  options.on_durable = worker.notice_counter(notices);
+  WorkerLink link("127.0.0.1", listener.port(), options);
+  for (std::uint64_t i = 0; i < kFrames; ++i)
+    ASSERT_TRUE(link.send(grid_snapshot(i), {}));
+  ASSERT_TRUE(link.flush());
+  listener.stop();
+
+  EXPECT_GE(link.reconnects(), 1u);
+  EXPECT_EQ(worker.frames(), iota_frames(kFrames));
+  EXPECT_EQ(listener.expected(), kFrames);
+  EXPECT_EQ(listener.protocol_errors(), 0u);
+  EXPECT_EQ(link.acked(), link.sent());
+  EXPECT_EQ(link.in_flight(), 0u);
+  const std::lock_guard lock(worker.mutex);
+  EXPECT_EQ(notices, kFrames);
+}
+
+TEST(DistIngest, OnDurableExceptionReachesTheSender) {
+  // on_durable runs on the link's reader thread; what it throws is
+  // rethrown from the sending thread's next wait.
+  RecordingSink worker;
+  IngestListener listener({.port = 0, .sampling_interval_s = 5},
+                          worker.sink(), 0);
+  ASSERT_TRUE(listener.start());
+  WorkerLinkOptions options;
+  options.on_durable = [](double) {
+    throw std::runtime_error("on_durable failed");
+  };
+  WorkerLink link("127.0.0.1", listener.port(), options);
+  ASSERT_TRUE(link.send(grid_snapshot(0), {}));
+  EXPECT_THROW(link.flush(), std::runtime_error);
   listener.stop();
 }
 

@@ -17,6 +17,7 @@
 
 #include "core_test_util.hpp"
 #include "monitor/wire.hpp"
+#include "obs/metrics.hpp"
 
 namespace appclass::persist {
 namespace {
@@ -144,6 +145,29 @@ TEST_F(WalTest, AlwaysPolicySurvivesSigkillWithZeroLoss) {
   std::uint64_t delivered = 0;
   replay_wal(dir_, 0, [&](const WalRecord&) { ++delivered; });
   EXPECT_EQ(delivered, 9u);
+}
+
+TEST_F(WalTest, AlwaysPolicyTimesEveryAppendAndFsync) {
+  auto& registry = obs::MetricsRegistry::global();
+  const obs::Histogram& appends =
+      registry.histogram("appclass_persist_wal_append_seconds");
+  const obs::Histogram& fsyncs =
+      registry.histogram("appclass_persist_wal_fsync_seconds");
+  const std::uint64_t appends_before = appends.count();
+  const std::uint64_t fsyncs_before = fsyncs.count();
+  constexpr std::uint64_t kAppends = 7;
+  {
+    WalWriter wal(dir_, {.fsync = FsyncPolicy::kAlways});
+    for (const auto& s : stream(kAppends)) wal.append(s);
+    EXPECT_EQ(appends.count() - appends_before, kAppends);
+    EXPECT_GE(fsyncs.count() - fsyncs_before, kAppends);
+  }
+  // Replay is not instrumented.
+  const std::uint64_t appends_after = appends.count();
+  const std::uint64_t fsyncs_after = fsyncs.count();
+  replay_wal(dir_, 0, [](const WalRecord&) {});
+  EXPECT_EQ(appends.count(), appends_after);
+  EXPECT_EQ(fsyncs.count(), fsyncs_after);
 }
 
 TEST_F(WalTest, IntervalPolicyBoundsLossToSyncInterval) {
