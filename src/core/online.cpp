@@ -6,7 +6,7 @@
 #include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 
 namespace appclass::core {
 namespace {
@@ -79,7 +79,7 @@ std::optional<ApplicationClass> OnlineClassifier::observe(
     return std::nullopt;
   }
 
-  obs::ScopedTimer observe_timer(om.observe_seconds);
+  obs::TraceSpan span("online_observe", &om.observe_seconds);
   // The health layer needs the evidence; the label is the same either way.
   pipeline_.begin_snapshot_batch(batch_, 1, /*detailed=*/health_ != nullptr);
   pipeline_.classify_snapshot_into(snapshot, batch_, 0,

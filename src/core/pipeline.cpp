@@ -5,7 +5,6 @@
 #include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "obs/trace.hpp"
 
 namespace appclass::core {
@@ -117,8 +116,10 @@ void ClassificationPipeline::train(const std::vector<LabeledPool>& training) {
   PipelineMetrics& pm = pipeline_metrics();
 
   obs::TraceSpan root_span("train");
-  root_span.add_attr({"pools", training.size()});
-  root_span.add_attr({"parallelism", context_->parallelism()});
+  if (root_span.recording()) {
+    root_span.add_attr({"pools", training.size()});
+    root_span.add_attr({"parallelism", context_->parallelism()});
+  }
 
   // Extract the raw selected metrics of every training pool — one task
   // per pool on the context — then stack them serially in pool order, so
@@ -127,7 +128,6 @@ void ClassificationPipeline::train(const std::vector<LabeledPool>& training) {
   std::vector<ApplicationClass> labels;
   {
     obs::TraceSpan stage_span("preprocess", &pm.preprocess);
-    obs::ScopedTimer preprocess_timer(pm.preprocess);
     std::vector<linalg::Matrix> raws(training.size());
     context_->for_each(training.size(), [&](std::size_t p) {
       APPCLASS_EXPECTS(!training[p].pool.empty());
@@ -143,20 +143,16 @@ void ClassificationPipeline::train(const std::vector<LabeledPool>& training) {
 
     preprocessor_.fit(stacked);
     normalized = preprocessor_.transform(stacked);
-    preprocess_timer.stop();
   }
 
   {
     obs::TraceSpan stage_span("pca_fit", &pm.pca_fit);
-    obs::ScopedTimer fit_timer(pm.pca_fit);
     pca_.fit(normalized);
-    fit_timer.stop();
   }
 
   linalg::Matrix projected(normalized.rows(), pca_.components());
   {
     obs::TraceSpan stage_span("pca_project", &pm.pca_project);
-    obs::ScopedTimer project_timer(pm.pca_project);
     context_->for_shards(
         normalized.rows(), engine::kDefaultGrain,
         [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -166,10 +162,8 @@ void ClassificationPipeline::train(const std::vector<LabeledPool>& training) {
             shard_span.add_attr({"begin", begin});
             shard_span.add_attr({"end", end});
           }
-          obs::ScopedTimer shard_timer(pm.shard);
           pca_.transform_rows(normalized, begin, end, projected);
         });
-    project_timer.stop();
   }
 
   knn_.train(std::move(projected), std::move(labels));
@@ -221,16 +215,13 @@ ClassificationResult ClassificationPipeline::classify(
   linalg::Matrix normalized;
   {
     obs::TraceSpan stage_span("preprocess", &pm.preprocess);
-    obs::ScopedTimer preprocess_timer(pm.preprocess);
     normalized = preprocessor_.transform(pool);
-    preprocess_timer.stop();
   }
 
   const std::size_t m = normalized.rows();
 
   {
     obs::TraceSpan stage_span("pca_project", &pm.pca_project);
-    obs::ScopedTimer project_timer(pm.pca_project);
     result.projected = linalg::Matrix(m, pca_.components());
     context_->for_shards(
         m, engine::kDefaultGrain,
@@ -241,10 +232,8 @@ ClassificationResult ClassificationPipeline::classify(
             shard_span.add_attr({"begin", begin});
             shard_span.add_attr({"end", end});
           }
-          obs::ScopedTimer shard_timer(pm.shard);
           pca_.transform_rows(normalized, begin, end, result.projected);
         });
-    project_timer.stop();
   }
 
   // Sharded k-NN: every shard answers its rows into pre-sized slots with
@@ -261,12 +250,10 @@ ClassificationResult ClassificationPipeline::classify(
       stage_span.add_attr({"k", knn_.k()});
       stage_span.add_attr({"training_size", knn_.training_size()});
     }
-    obs::ScopedTimer knn_timer(pm.knn_query);
     context_->for_shards(
         m, engine::kDefaultGrain,
         [&](std::size_t begin, std::size_t end, std::size_t) {
           obs::TraceSpan shard_span("engine_shard", &pm.shard);
-          obs::ScopedTimer shard_timer(pm.shard);
           // Pooled per-worker scratch: each shard leases the slot warmed
           // by previous shards on the same worker instead of sizing a
           // fresh one.
@@ -274,7 +261,7 @@ ClassificationResult ClassificationPipeline::classify(
           const std::uint64_t pruned_before = scratch->kernel.pruned_tiles;
           knn_.query_rows(result.projected, begin, end, query_options,
                           queries, scratch->kernel);
-          shard_timer.stop();
+          shard_span.stop();
           if (shard_span.recording()) {
             shard_span.add_attr({"stage", "knn_query"});
             shard_span.add_attr({"begin", begin});
@@ -284,18 +271,17 @@ ClassificationResult ClassificationPipeline::classify(
                  scratch->kernel.pruned_tiles - pruned_before});
           }
         });
-    knn_timer.stop_and_observe_per_item(m);
+    stage_span.stop_per_item(m);
   }
 
   {
     obs::TraceSpan stage_span("vote", &pm.vote);
-    obs::ScopedTimer vote_timer(pm.vote);
     result.class_vector = std::move(queries.labels);
     result.confidences = std::move(queries.vote_shares);
     result.novelty = std::move(queries.novelty);
     result.composition = ClassComposition(result.class_vector);
     result.application_class = result.composition.dominant();
-    vote_timer.stop();
+    stage_span.stop();
     if (stage_span.recording()) {
       // Margin of the winning class over the runner-up in the class
       // composition — a 0-margin pool sat on a vote knife edge.

@@ -27,6 +27,9 @@ bool tracing_enabled() noexcept {
 }
 
 void set_tracing_enabled(bool on) noexcept {
+  // Anchors the recorder epoch before any span reads its start, so no
+  // recorded span starts before the epoch.
+  if (on) (void)recorder_epoch_wall_us();
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
@@ -52,29 +55,51 @@ SpanAttr::SpanAttr(std::string_view k, double v) : key(k) {
   value = buffer;
 }
 
-TraceSpan::TraceSpan(std::string_view name, Histogram* exemplar_histogram) {
-  if (!tracing_enabled()) return;
-  recording_ = true;
-  name_ = name;
-  exemplar_histogram_ = exemplar_histogram;
-  saved_ = t_current;
-  context_.trace_id = saved_.active() ? saved_.trace_id : next_id();
-  context_.parent_span_id = saved_.active() ? saved_.span_id : 0;
-  context_.span_id = next_id();
-  t_current = context_;
-  start_us_ = trace_now_us();
+Histogram& stage_histogram(std::string_view stage) {
+  return MetricsRegistry::global().histogram(
+      "appclass_stage_seconds", {{"stage", std::string(stage)}});
+}
+
+TraceSpan::TraceSpan(std::string_view name, Histogram* histogram)
+    : histogram_(histogram) {
+  if (tracing_enabled()) {
+    recording_ = true;
+    name_ = name;
+    saved_ = t_current;
+    context_.trace_id = saved_.active() ? saved_.trace_id : next_id();
+    context_.parent_span_id = saved_.active() ? saved_.span_id : 0;
+    context_.span_id = next_id();
+    t_current = context_;
+  } else if (!histogram_) {
+    return;
+  }
+  start_ = Clock::now();
 }
 
 TraceSpan::~TraceSpan() {
+  (void)finish(1);
   if (!recording_) return;
-  const std::int64_t end_us = trace_now_us();
   t_current = saved_;
-  if (exemplar_histogram_)
-    exemplar_histogram_->set_exemplar(
-        static_cast<double>(end_us - start_us_) * 1e-6, context_.trace_id);
-  TraceRecorder::global().record_span(name_, context_, start_us_,
-                                      end_us - start_us_,
-                                      std::move(attrs_));
+  TraceRecorder::global().record_span(
+      name_, context_, trace_us(start_),
+      std::chrono::duration_cast<std::chrono::microseconds>(end_ - start_)
+          .count(),
+      std::move(attrs_));
+}
+
+double TraceSpan::finish(std::uint64_t items) noexcept {
+  if (!stopped_ && (recording_ || histogram_)) {
+    stopped_ = true;
+    end_ = Clock::now();
+    if (histogram_ && items > 0) {
+      const double value =
+          std::chrono::duration<double>(end_ - start_).count() /
+          static_cast<double>(items);
+      histogram_->observe_many(value, items);
+      if (recording_) histogram_->set_exemplar(value, context_.trace_id);
+    }
+  }
+  return std::chrono::duration<double>(end_ - start_).count();
 }
 
 void TraceSpan::add_attr(SpanAttr attr) {

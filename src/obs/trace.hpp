@@ -9,14 +9,20 @@
 // (`ScopedTraceContext`), which the engine ThreadPool does for every
 // parallel_for task.
 //
-// Cost contract: tracing is off by default and every TraceSpan
-// constructor guards on one relaxed atomic load — the k-NN hot path pays
-// a predictable branch and nothing else. When tracing is on, finished
-// spans are recorded into the per-thread flight-recorder ring
-// (obs/recorder.hpp) and the bound histogram (if any) gains an exemplar
-// referencing the trace id.
+// Every timed region is one TraceSpan. Bound to a histogram, a span
+// reads steady_clock exactly twice and observes the histogram once with
+// that reading, traced or not; under tracing the same reading becomes
+// the histogram's exemplar and the recorded span's duration, so an
+// exemplar is always one of its histogram's observations.
+//
+// Cost contract: tracing is off by default. An unbound span then costs
+// one relaxed atomic load, so the k-NN hot path pays a predictable
+// branch and nothing else; a bound span adds its clock pair and one
+// histogram observation. When tracing is on, finished spans are recorded
+// into the per-thread flight-recorder ring (obs/recorder.hpp).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -63,9 +69,9 @@ class ScopedTraceContext {
   TraceContext saved_;
 };
 
-/// One structured span attribute; the value is formatted eagerly, but
-/// call sites only construct attrs after checking TraceSpan::recording()
-/// (or via add_attr, which drops them when not recording).
+/// One structured span attribute. The value is formatted eagerly, so
+/// call sites construct attrs only after checking TraceSpan::recording();
+/// add_attr drops them when not recording, but only after formatting.
 struct SpanAttr {
   std::string key;
   std::string value;
@@ -79,17 +85,22 @@ struct SpanAttr {
   SpanAttr(std::string_view k, T v) : key(k), value(std::to_string(v)) {}
 };
 
-/// RAII span: opens as a child of the thread's ambient context (or as a
-/// new trace root when none is active), becomes the ambient context for
-/// its scope, and on destruction records itself into the flight recorder.
-/// A no-op (one relaxed load) when tracing is disabled.
+/// The one histogram family every pipeline stage reports to:
+/// `appclass_stage_seconds{stage=<name>}` on the global registry.
+Histogram& stage_histogram(std::string_view stage);
+
+/// RAII span, the one primitive for a timed region: opens as a child of
+/// the thread's ambient context (or as a new trace root when none is
+/// active), becomes the ambient context for its scope, and on
+/// destruction records itself into the flight recorder. With tracing
+/// off it neither records nor touches the ambient context.
 class TraceSpan {
  public:
-  /// `exemplar_histogram`, when given, receives (elapsed seconds,
-  /// trace_id) as its exemplar on span end — tying the stage histogram
-  /// back to a concrete trace.
-  explicit TraceSpan(std::string_view name,
-                     Histogram* exemplar_histogram = nullptr);
+  /// `histogram`, when given, is observed once with the span's duration:
+  /// at stop()/stop_per_item() or else at scope exit. When tracing is on,
+  /// that observation is also the histogram's exemplar, tagged with this
+  /// span's trace id.
+  explicit TraceSpan(std::string_view name, Histogram* histogram = nullptr);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -100,17 +111,34 @@ class TraceSpan {
   bool recording() const noexcept { return recording_; }
 
   /// Attaches a structured attribute; dropped when not recording.
+  /// Attributes added after stop() are kept but not timed.
   void add_attr(SpanAttr attr);
+
+  /// Fixes the end reading now, observes the histogram and returns the
+  /// elapsed seconds (0 for an untimed span: no histogram, tracing off).
+  /// The span is still recorded at scope exit, with this end reading.
+  double stop() noexcept { return finish(1); }
+
+  /// The batched-loop form of stop(): observes `items` observations of
+  /// (elapsed / items), one clock pair for the whole loop. Observes
+  /// nothing for items == 0.
+  void stop_per_item(std::uint64_t items) noexcept { (void)finish(items); }
 
   const TraceContext& context() const noexcept { return context_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  double finish(std::uint64_t items) noexcept;
+
   bool recording_ = false;
+  bool stopped_ = false;
   TraceContext context_;
   TraceContext saved_;
   std::string name_;
-  Histogram* exemplar_histogram_ = nullptr;
-  std::int64_t start_us_ = 0;
+  Histogram* histogram_ = nullptr;
+  Clock::time_point start_;
+  Clock::time_point end_;
   std::vector<SpanAttr> attrs_;
 };
 

@@ -14,7 +14,7 @@
 #include "common/fs.hpp"
 #include "monitor/wire.hpp"
 #include "obs/log.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 
 namespace appclass::persist {
 namespace {
@@ -145,7 +145,7 @@ void WalWriter::flush_buffer() {
 }
 
 void WalWriter::fsync_segment() {
-  const obs::ScopedTimer timer(fsync_seconds_);
+  const obs::TraceSpan span("wal_fsync", &fsync_seconds_);
   if (::fsync(fd_) != 0)
     common::throw_errno("WAL fsync failed:", segment_path_);
 }
@@ -153,7 +153,7 @@ void WalWriter::fsync_segment() {
 std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
   if (crashed_ || fd_ < 0)
     throw std::runtime_error("WAL writer is closed: " + segment_path_);
-  const obs::ScopedTimer timer(append_seconds_);
+  const obs::TraceSpan span("wal_append", &append_seconds_);
 
   const std::vector<std::uint8_t> payload = monitor::encode_packet(snapshot);
   const std::size_t record_size = 4 + 8 + 4 + payload.size() + 8;

@@ -10,7 +10,7 @@
 #include "obs/cardinality.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "sim/testbed.hpp"
 #include "workloads/catalog.hpp"
 
@@ -177,9 +177,10 @@ DispatchOutcome run_arrival_experiment(std::vector<ArrivingJob> jobs,
                                 gmetad,
                                 next_arrival};
       QueueMetrics& qm = queue_metrics();
-      obs::ScopedTimer decision_timer(qm.decision_seconds);
-      const std::size_t v = policy(ctx);
-      decision_timer.stop();
+      const std::size_t v = [&] {
+        obs::TraceSpan span("dispatch_decision", &qm.decision_seconds);
+        return policy(ctx);
+      }();
       APPCLASS_ENSURES(v < vms.size());
       qm.dispatched.inc();
       placement_counter(v).inc();

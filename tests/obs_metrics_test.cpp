@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "obs/export.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 
 namespace appclass::obs {
 namespace {
@@ -131,20 +131,20 @@ TEST(Registry, ConcurrentIncrementsFromManyThreads) {
   EXPECT_DOUBLE_EQ(hist.sum(), static_cast<double>(kThreads) * kIters);
 }
 
-TEST(ScopedTimerTest, ObservesOnDestruction) {
+TEST(TraceSpanTimer, ObservesOnDestruction) {
   Histogram h({1.0});
   {
-    ScopedTimer timer(h);
+    TraceSpan span("timed", &h);
   }
   EXPECT_EQ(h.count(), 1u);
   EXPECT_GE(h.sum(), 0.0);
 }
 
-TEST(ScopedTimerTest, StopAndObservePerItem) {
+TEST(TraceSpanTimer, StopPerItem) {
   Histogram h({1.0});
   {
-    ScopedTimer timer(h);
-    timer.stop_and_observe_per_item(50);
+    TraceSpan span("timed", &h);
+    span.stop_per_item(50);
   }  // destructor must not double-record
   EXPECT_EQ(h.count(), 50u);
 }

@@ -1,22 +1,37 @@
 // Trace-context propagation: span trees across pool workers, bit-identical
-// classification with tracing on/off, and histogram exemplars.
+// classification, fleet drain, online observe and WAL bytes with tracing
+// on/off, and histogram exemplars that are histogram observations.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <chrono>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
 #include <latch>
 #include <map>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "common/fs.hpp"
+#include "core/online.hpp"
 #include "core_test_util.hpp"
+#include "engine/fleet.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/export.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "persist/checkpoint.hpp"
+#include "persist/wal.hpp"
 
 namespace appclass {
 namespace {
@@ -34,6 +49,42 @@ const obs::TraceEvent* find_span(const std::vector<obs::TraceEvent>& events,
     if (e.phase == obs::TraceEvent::Phase::kSpan && e.name == name)
       return &e;
   return nullptr;
+}
+
+/// A steady_clock reading in seconds, truncated to whole microseconds the
+/// way the recorder stores a span's duration (the reading is an integral
+/// nanosecond count, so rounding to ns first recovers it exactly).
+std::int64_t truncated_us(double seconds) {
+  return std::llround(seconds * 1e9) / 1000;
+}
+
+/// Small knobs so window/debounce state is non-trivial within a few
+/// dozen snapshots.
+constexpr core::OnlineOptions kOnline = {.sampling_interval_s = 1,
+                                         .window = 6,
+                                         .stability = 2,
+                                         .min_coverage = 0.5};
+
+/// On-grid snapshots over two nodes whose class changes every 7 steps.
+std::vector<metrics::Snapshot> two_node_stream(std::size_t n) {
+  linalg::Rng rng(99);
+  std::vector<metrics::Snapshot> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto s = core::testing::synthetic_snapshot(
+        core::class_from_index((i / 7) % core::kClassCount), rng,
+        static_cast<metrics::SimTime>(i));
+    s.node_ip = i % 3 == 0 ? "10.0.0.2" : "10.0.0.1";
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+/// Canonical byte image of a classifier's full online state.
+std::string online_image(const core::OnlineClassifier& online) {
+  persist::CheckpointData data;
+  data.options = online.options();
+  data.online = online.export_state();
+  return persist::encode_checkpoint(data);
 }
 
 TEST(ObsTrace, SpanTreeAcrossWorkers) {
@@ -244,6 +295,146 @@ TEST(ObsTrace, LogRecordsBecomeInstantEventsUnderActiveTrace) {
   ASSERT_FALSE(instant->attrs.empty());
   EXPECT_EQ(instant->attrs[0].key, "log");
   EXPECT_NE(instant->attrs[0].value.find("answer=42"), std::string::npos);
+}
+
+TEST(ObsTrace, BoundSpanExemplarIsItsObservation) {
+  obs::Histogram h({1.0});
+  obs::TraceRecorder::global().clear();
+  {
+    ScopedTracing tracing;
+    obs::TraceSpan span("exemplar_bound", &h);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.sum(), h.exemplar_value());
+
+  const auto events = obs::TraceRecorder::global().events();
+  const obs::TraceEvent* event = find_span(events, "exemplar_bound");
+  ASSERT_NE(event, nullptr);
+  EXPECT_EQ(h.exemplar_trace_id(), event->context.trace_id);
+  EXPECT_GE(event->dur_us, 2000);
+  EXPECT_EQ(event->dur_us, truncated_us(h.sum()));
+}
+
+TEST(ObsTrace, PerItemExemplarIsThePerItemObservation) {
+  obs::Histogram h({1.0});
+  obs::TraceRecorder::global().clear();
+  {
+    ScopedTracing tracing;
+    obs::TraceSpan span("exemplar_per_item", &h);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    span.stop_per_item(50);
+    // Kept on the recorded span, outside its timed region.
+    span.add_attr({"items", 50});
+  }
+  ASSERT_EQ(h.count(), 50u);
+  EXPECT_DOUBLE_EQ(h.exemplar_value() * 50, h.sum());
+
+  const auto events = obs::TraceRecorder::global().events();
+  const obs::TraceEvent* event = find_span(events, "exemplar_per_item");
+  ASSERT_NE(event, nullptr);
+  EXPECT_EQ(h.exemplar_trace_id(), event->context.trace_id);
+  EXPECT_EQ(event->dur_us, truncated_us(h.exemplar_value() * 50));
+  ASSERT_EQ(event->attrs.size(), 1u);
+  EXPECT_EQ(event->attrs[0].key, "items");
+}
+
+TEST(ObsTrace, FleetDrainHistogramCarriesTheDrainTrace) {
+  core::ClassificationPipeline pipeline;
+  pipeline.train(core::testing::synthetic_training());
+  engine::FleetStream stream(pipeline, kOnline);
+  for (const auto& s : two_node_stream(40)) stream.push(s);
+
+  obs::TraceRecorder::global().clear();
+  {
+    ScopedTracing tracing;
+    ASSERT_EQ(stream.drain(), 40u);
+  }
+
+  const auto snapshot = obs::MetricsRegistry::global().snapshot();
+  const auto* hist = snapshot.find_histogram("appclass_stage_seconds",
+                                             {{"stage", "fleet_drain"}});
+  ASSERT_NE(hist, nullptr);
+  const auto events = obs::TraceRecorder::global().events();
+  const obs::TraceEvent* drain = find_span(events, "fleet_drain");
+  ASSERT_NE(drain, nullptr);
+  EXPECT_EQ(hist->exemplar_trace_id, drain->context.trace_id);
+  EXPECT_EQ(drain->dur_us, truncated_us(hist->exemplar_value));
+}
+
+TEST(ObsTrace, DrainAndObserveBitIdenticalWithTracingOnAndOff) {
+  core::PipelineOptions options;
+  options.parallelism = 4;
+  core::ClassificationPipeline pipeline(options);
+  pipeline.train(core::testing::synthetic_training());
+  const auto snapshots = two_node_stream(300);
+
+  // One drain series (uneven batches, sharded across the pool) and one
+  // observe series, each into its own online state.
+  const auto run = [&](bool traced) {
+    std::optional<ScopedTracing> tracing;
+    if (traced) tracing.emplace();
+    engine::FleetStream stream(pipeline, kOnline);
+    core::OnlineClassifier observed(pipeline, kOnline);
+    for (std::size_t i = 0; i < snapshots.size(); ++i) {
+      stream.push(snapshots[i]);
+      (void)observed.observe(snapshots[i]);
+      if (i % 37 == 36) (void)stream.drain();
+    }
+    (void)stream.drain();
+    return std::pair{online_image(stream.online()), online_image(observed)};
+  };
+  const auto off = run(false);
+  obs::TraceRecorder::global().clear();
+  const auto on = run(true);
+
+  const auto events = obs::TraceRecorder::global().events();
+  EXPECT_NE(find_span(events, "fleet_drain"), nullptr);
+  EXPECT_NE(find_span(events, "online_observe"), nullptr);
+  EXPECT_EQ(on.first, off.first);
+  EXPECT_EQ(on.second, off.second);
+}
+
+TEST(ObsTrace, WalBytesIdenticalWithTracingOnAndOff) {
+  char tmpl[] = "/tmp/appclass_trace_wal_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const auto snapshots = two_node_stream(60);
+
+  // Small segments so the rotation fsync is exercised too.
+  const auto write = [&](const std::string& wal_dir, bool traced) {
+    std::optional<ScopedTracing> tracing;
+    if (traced) tracing.emplace();
+    persist::WalWriter wal(wal_dir, {.max_segment_bytes = 2048});
+    for (const auto& s : snapshots) (void)wal.append(s);
+  };
+  write(dir + "/off", false);
+  obs::TraceRecorder::global().clear();
+  write(dir + "/on", true);
+
+  const auto off = persist::wal_segments(dir + "/off");
+  const auto on = persist::wal_segments(dir + "/on");
+  ASSERT_GT(off.size(), 1u);
+  ASSERT_EQ(on.size(), off.size());
+  for (std::size_t i = 0; i < off.size(); ++i) {
+    EXPECT_EQ(std::filesystem::path(on[i]).filename(),
+              std::filesystem::path(off[i]).filename());
+    EXPECT_EQ(common::read_file_or_throw(on[i]),
+              common::read_file_or_throw(off[i]))
+        << off[i];
+  }
+
+  // Each fsync nests under the append that asked for it.
+  const auto events = obs::TraceRecorder::global().events();
+  const obs::TraceEvent* fsync = find_span(events, "wal_fsync");
+  ASSERT_NE(fsync, nullptr);
+  bool parented = false;
+  for (const auto& e : events)
+    if (e.name == "wal_append" &&
+        e.context.span_id == fsync->context.parent_span_id)
+      parented = true;
+  EXPECT_TRUE(parented);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
