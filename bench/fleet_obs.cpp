@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/fnv1a.hpp"
 #include "dist/ingest.hpp"
 #include "dist/link.hpp"
 #include "metrics/snapshot.hpp"
@@ -61,15 +62,6 @@ obs::RegistrySnapshot synthetic_worker_snapshot(int worker) {
   return reg.snapshot();
 }
 
-std::uint64_t fnv1a64(std::uint64_t h, const std::uint8_t* data,
-                      std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Quantile estimate from cumulative-free bucket counts (same method as
 /// the obs table exporter): upper bound of the bucket where the
 /// cumulative count crosses q * total.
@@ -98,12 +90,12 @@ metrics::Snapshot grid_snapshot(std::size_t i) {
 /// One loopback ingest pass: listener + link, `frames` sends + flush.
 /// Returns the FNV hash of the delivered payload byte stream.
 std::uint64_t run_ingest_pass(std::size_t frames) {
-  std::uint64_t hash = 14695981039346656037ull;
+  std::uint64_t hash = common::kFnv1a64Offset;
   dist::IngestListener listener(
       {},
       [&hash](const metrics::Snapshot& s) {
         const auto bytes = monitor::encode_packet(s);
-        hash = fnv1a64(hash, bytes.data(), bytes.size());
+        hash = common::fnv1a64(bytes, hash);
         return true;
       },
       0);

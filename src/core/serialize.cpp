@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "common/assert.hpp"
+#include "common/fnv1a.hpp"
 #include "common/fs.hpp"
 
 namespace appclass::core {
@@ -23,15 +24,6 @@ constexpr std::string_view kChecksumTag = "checksum ";
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("pipeline deserialization: " + what);
-}
-
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 std::string to_hex64(std::uint64_t v) {
@@ -104,7 +96,7 @@ std::string save_pipeline(const ClassificationPipeline& pipeline) {
   }
   std::string body = os.str();
   body.append(kChecksumTag);
-  body.append(to_hex64(fnv1a64(
+  body.append(to_hex64(common::fnv1a64(
       std::string_view(body.data(), body.size() - kChecksumTag.size()))));
   body.push_back('\n');
   return body;
@@ -134,7 +126,8 @@ ClassificationPipeline load_pipeline(const std::string& text) {
             std::string_view::npos)
       fail("truncated checksum footer (expected 16 hex digits, found '" +
            std::string(recorded) + "')");
-    const std::string computed = to_hex64(fnv1a64(view.substr(0, footer)));
+    const std::string computed =
+        to_hex64(common::fnv1a64(view.substr(0, footer)));
     if (recorded != computed)
       fail("checksum mismatch: file is corrupt (expected " + computed +
            ", found '" + std::string(recorded) + "')");

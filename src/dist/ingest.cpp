@@ -171,8 +171,8 @@ void IngestListener::handle_connection(int fd) {
 
   FrameDecoder decoder;
   std::uint8_t buffer[8192];
+  Frame frame;  // decoded in place, frame after frame
   while (running_.load(std::memory_order_acquire)) {
-    Frame frame;
     const DecodeStatus status = decoder.next(frame);
     if (status == DecodeStatus::kNeedMore) {
       const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);

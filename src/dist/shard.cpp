@@ -4,21 +4,9 @@
 #include <string>
 
 #include "common/assert.hpp"
+#include "common/fnv1a.hpp"
 
 namespace appclass::dist {
-
-namespace {
-
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : text) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 ShardMap::ShardMap(std::size_t shards, std::size_t virtual_nodes)
     : shards_(shards) {
@@ -27,14 +15,14 @@ ShardMap::ShardMap(std::size_t shards, std::size_t virtual_nodes)
   ring_.reserve(shards * virtual_nodes);
   for (std::size_t s = 0; s < shards; ++s)
     for (std::size_t v = 0; v < virtual_nodes; ++v)
-      ring_.emplace_back(fnv1a64("shard-" + std::to_string(s) + "-vnode-" +
-                                 std::to_string(v)),
+      ring_.emplace_back(common::fnv1a64("shard-" + std::to_string(s) +
+                                         "-vnode-" + std::to_string(v)),
                          static_cast<std::uint32_t>(s));
   std::sort(ring_.begin(), ring_.end());
 }
 
 std::size_t ShardMap::shard_for(std::string_view node_ip) const noexcept {
-  const std::uint64_t h = fnv1a64(node_ip);
+  const std::uint64_t h = common::fnv1a64(node_ip);
   // First ring point at or after h, wrapping to the start past the end.
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/fnv1a.hpp"
 #include "monitor/wire.hpp"
 
 namespace appclass::dist {
@@ -33,16 +34,6 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < 8; ++i) v = (v << 8) | p[i];
   return v;
-}
-
-/// FNV-1a-64 — the WAL / serialize.cpp footer hash, applied per frame.
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace
@@ -83,7 +74,7 @@ std::vector<std::uint8_t> encode_frame(const metrics::Snapshot& snapshot,
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   // Checksum covers version..payload — everything after the magic.
-  put_u64(out, fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
+  put_u64(out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
   return out;
 }
 
@@ -117,20 +108,21 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   const std::size_t total = kFrameHeaderBytes + payload_len + 8;
   if (have < total) return DecodeStatus::kNeedMore;
 
+  // One pass checks the frame checksum (version..payload) and hashes the
+  // packet body; the packet is then checked and decoded in place.
   const std::uint64_t checksum = get_u64(p + kFrameHeaderBytes + payload_len);
-  if (fnv1a64({p + 4, kFrameHeaderBytes + payload_len - 4}) != checksum)
-    return DecodeStatus::kBadChecksum;
-
-  const auto snapshot =
-      monitor::decode_packet({p + kFrameHeaderBytes, payload_len});
-  if (!snapshot) return DecodeStatus::kBadPayload;
+  const common::Fnv1aLanes hashes = monitor::hash_envelope(
+      {p + 4, kFrameHeaderBytes + payload_len - 4}, kFrameHeaderBytes - 4);
+  if (hashes.h64 != checksum) return DecodeStatus::kBadChecksum;
+  if (!monitor::check_packet({p + kFrameHeaderBytes, payload_len},
+                             hashes.h32, &out.snapshot))
+    return DecodeStatus::kBadPayload;
 
   out.seq = get_u64(p + 5);
   out.trace.trace_id = get_u64(p + 13);
   out.trace.span_id = get_u64(p + 21);
   out.trace.parent_span_id = 0;
   out.announce_us = get_u64(p + 29);
-  out.snapshot = *snapshot;
   pos_ += total;
   compact();
   return DecodeStatus::kOk;
@@ -142,7 +134,7 @@ std::vector<std::uint8_t> encode_hello(const Hello& hello) {
   put_u32(out, kHelloMagic);
   out.push_back(kWireVersion);
   put_u64(out, hello.wal_next);
-  put_u64(out, fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
+  put_u64(out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
   APPCLASS_ENSURES(out.size() == kHelloBytes);
   return out;
 }
@@ -151,7 +143,7 @@ DecodeStatus decode_hello(std::span<const std::uint8_t> bytes, Hello& out) {
   if (bytes.size() != kHelloBytes) return DecodeStatus::kBadPayload;
   if (get_u32(bytes.data()) != kHelloMagic) return DecodeStatus::kBadMagic;
   if (bytes[4] != kWireVersion) return DecodeStatus::kBadVersion;
-  if (fnv1a64(bytes.subspan(4, 9)) != get_u64(bytes.data() + 13))
+  if (common::fnv1a64(bytes.subspan(4, 9)) != get_u64(bytes.data() + 13))
     return DecodeStatus::kBadChecksum;
   out.wal_next = get_u64(bytes.data() + 5);
   return DecodeStatus::kOk;

@@ -5,6 +5,8 @@
 // monitor::encode_packet (the gmond-equivalent packet format, itself
 // checksummed), and the framing reuses the WAL's FNV-1a-64 footer idiom,
 // so both layers of validation are formats the repo already proves out.
+// The decoder checks both checksums in one pass over the frame, as WAL
+// replay does.
 //
 // Frame layout (all integers big-endian):
 //
@@ -95,6 +97,8 @@ std::vector<std::uint8_t> encode_frame(const metrics::Snapshot& snapshot,
 class FrameDecoder {
  public:
   void append(std::span<const std::uint8_t> bytes);
+  /// Decodes the next frame into `out`, overwriting every field (a caller
+  /// can reuse one Frame); `out` is left as it was unless kOk.
   DecodeStatus next(Frame& out);
 
   /// Bytes buffered but not yet consumed by next().

@@ -1,7 +1,7 @@
 #include "monitor/wire.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "common/assert.hpp"
 
@@ -31,62 +31,20 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// FNV-1a over the packet body (everything after the header checksum slot).
-std::uint32_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint32_t h = 2166136261u;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 16777619u;
-  }
-  return h;
+std::uint16_t get_u16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
 }
 
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+std::uint32_t get_u32(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
 
-  bool ok() const noexcept { return ok_; }
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-
-  std::uint16_t u16() { return static_cast<std::uint16_t>(read(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(read(4)); }
-  std::uint64_t u64() { return read(8); }
-  double f64() { return std::bit_cast<double>(read(8)); }
-
-  std::string bytes(std::size_t n) {
-    if (remaining() < n) {
-      ok_ = false;
-      return {};
-    }
-    std::string out(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return out;
-  }
-
- private:
-  std::uint64_t read(std::size_t n) {
-    if (remaining() < n) {
-      ok_ = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      v = (v << 8) | bytes_[pos_ + i];
-    pos_ += n;
-    return v;
-  }
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
+std::uint64_t get_u64(const std::uint8_t* p) {
+  return (std::uint64_t{get_u32(p)} << 32) | get_u32(p + 4);
+}
 
 }  // namespace
-
-std::size_t packet_size(std::size_t node_ip_length) {
-  // magic + version + checksum + time + ip length + ip + 33 doubles.
-  return 4 + 2 + 4 + 8 + 2 + node_ip_length + 8 * metrics::kMetricCount;
-}
 
 std::vector<std::uint8_t> encode_packet(const metrics::Snapshot& snapshot) {
   APPCLASS_EXPECTS(snapshot.node_ip.size() <= kMaxNodeIpLength);
@@ -101,8 +59,8 @@ std::vector<std::uint8_t> encode_packet(const metrics::Snapshot& snapshot) {
   out.insert(out.end(), snapshot.node_ip.begin(), snapshot.node_ip.end());
   for (const double v : snapshot.values) put_f64(out, v);
 
-  const std::uint32_t checksum = fnv1a(
-      std::span<const std::uint8_t>(out).subspan(checksum_slot + 4));
+  const std::uint32_t checksum = common::fnv1a32(
+      std::span<const std::uint8_t>(out).subspan(kPacketBodyOffset));
   out[checksum_slot + 0] = static_cast<std::uint8_t>(checksum >> 24);
   out[checksum_slot + 1] = static_cast<std::uint8_t>(checksum >> 16);
   out[checksum_slot + 2] = static_cast<std::uint8_t>(checksum >> 8);
@@ -111,24 +69,49 @@ std::vector<std::uint8_t> encode_packet(const metrics::Snapshot& snapshot) {
   return out;
 }
 
+bool check_packet(std::span<const std::uint8_t> packet,
+                  std::uint32_t body_hash, metrics::Snapshot* out) {
+  // magic .. node-IP length: the fixed prefix every check reads.
+  constexpr std::size_t kFixedBytes = 4 + 2 + 4 + 8 + 2;
+  const std::uint8_t* p = packet.data();
+  if (packet.size() < kFixedBytes) return false;
+  if (get_u32(p) != kMagic || get_u16(p + 4) != kVersion ||
+      get_u32(p + 6) != body_hash)
+    return false;
+  const std::size_t ip_len = get_u16(p + 18);
+  if (ip_len > kMaxNodeIpLength || packet.size() != packet_size(ip_len))
+    return false;
+  if (out == nullptr) return true;
+
+  out->time = static_cast<metrics::SimTime>(get_u64(p + 10));
+  out->node_ip.assign(reinterpret_cast<const char*>(p + kFixedBytes), ip_len);
+  const std::uint8_t* values = p + kFixedBytes + ip_len;
+  for (std::size_t i = 0; i < metrics::kMetricCount; ++i)
+    out->values[i] = std::bit_cast<double>(get_u64(values + 8 * i));
+  return true;
+}
+
+bool decode_packet_into(std::span<const std::uint8_t> packet,
+                        metrics::Snapshot& out) {
+  if (packet.size() < kPacketBodyOffset) return false;
+  return check_packet(
+      packet, common::fnv1a32(packet.subspan(kPacketBodyOffset)), &out);
+}
+
 std::optional<metrics::Snapshot> decode_packet(
     std::span<const std::uint8_t> packet) {
-  Reader reader(packet);
-  if (reader.u32() != kMagic) return std::nullopt;
-  if (reader.u16() != kVersion) return std::nullopt;
-  const std::uint32_t checksum = reader.u32();
-  if (!reader.ok()) return std::nullopt;
-  if (fnv1a(packet.subspan(10)) != checksum) return std::nullopt;
-
   metrics::Snapshot s;
-  s.time = static_cast<metrics::SimTime>(reader.u64());
-  const std::uint16_t ip_len = reader.u16();
-  if (!reader.ok() || ip_len > kMaxNodeIpLength) return std::nullopt;
-  s.node_ip = reader.bytes(ip_len);
-  for (std::size_t i = 0; i < metrics::kMetricCount; ++i)
-    s.values[i] = reader.f64();
-  if (!reader.ok() || reader.remaining() != 0) return std::nullopt;
+  if (!decode_packet_into(packet, s)) return std::nullopt;
   return s;
+}
+
+common::Fnv1aLanes hash_envelope(std::span<const std::uint8_t> envelope,
+                                 std::size_t packet_at) {
+  const std::size_t split =
+      std::min(envelope.size(), packet_at + kPacketBodyOffset);
+  common::Fnv1aLanes lanes;
+  lanes.h64 = common::fnv1a64(envelope.first(split));
+  return common::fnv1a_fused(envelope.subspan(split), lanes);
 }
 
 }  // namespace appclass::monitor

@@ -6,13 +6,30 @@
 // the node identity, the timestamp, and the 33 metric values as
 // big-endian IEEE-754 doubles, closed by a checksum. Decoding validates
 // every field and rejects corrupt or truncated packets.
+//
+// Packet layout (all integers big-endian):
+//
+//   u32  magic 'APMC'
+//   u16  version
+//   u32  FNV-1a-32 over every byte after this field
+//   u64  time
+//   u16  node-IP length (<= kMaxNodeIpLength)
+//   ...  node IP
+//   33 x f64 metric values
+//
+// WAL records and dist frames carry a packet inside their own
+// FNV-1a-64-sealed envelope. Their readers hash the envelope and the
+// packet body in one pass (`hash_envelope`) and then check and decode the
+// packet with the body hash they already hold (`check_packet`).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "metrics/snapshot.hpp"
 
 namespace appclass::monitor {
@@ -20,8 +37,31 @@ namespace appclass::monitor {
 /// Maximum node-IP length accepted on the wire.
 inline constexpr std::size_t kMaxNodeIpLength = 64;
 
+/// Offset of the first byte the packet checksum covers.
+inline constexpr std::size_t kPacketBodyOffset = 10;
+
+/// Exact encoded size of a snapshot with the given node-IP length.
+constexpr std::size_t packet_size(std::size_t node_ip_length) {
+  // magic + version + checksum + time + ip length + ip + 33 doubles.
+  return 4 + 2 + 4 + 8 + 2 + node_ip_length + 8 * metrics::kMetricCount;
+}
+
 /// Encodes a snapshot into a self-contained packet.
 std::vector<std::uint8_t> encode_packet(const metrics::Snapshot& snapshot);
+
+/// Checks a packet whose body hash (FNV-1a-32 over
+/// packet[kPacketBodyOffset..]) the caller has computed: magic, version,
+/// checksum, node-IP length cap and exact length. Returns false for
+/// anything malformed. When `out` is non-null, a valid packet is decoded
+/// into it (reusing its node_ip storage); after false, *out is unchanged.
+bool check_packet(std::span<const std::uint8_t> packet,
+                  std::uint32_t body_hash,
+                  metrics::Snapshot* out = nullptr);
+
+/// Decodes a packet into a reused snapshot; false (and `out` unchanged)
+/// for anything `decode_packet` rejects.
+bool decode_packet_into(std::span<const std::uint8_t> packet,
+                        metrics::Snapshot& out);
 
 /// Decodes a packet; returns nullopt for anything malformed: wrong magic
 /// or version, truncated buffer, oversized node id, trailing bytes, or a
@@ -29,7 +69,11 @@ std::vector<std::uint8_t> encode_packet(const metrics::Snapshot& snapshot);
 std::optional<metrics::Snapshot> decode_packet(
     std::span<const std::uint8_t> packet);
 
-/// Exact encoded size of a snapshot with the given node-IP length.
-std::size_t packet_size(std::size_t node_ip_length);
+/// One pass over an envelope that ends in a packet starting at
+/// `packet_at`: `h64` is FNV-1a-64 over all of `envelope` (the WAL record
+/// or dist frame checksum) and `h32` the packet's body hash, ready for
+/// `check_packet`.
+common::Fnv1aLanes hash_envelope(std::span<const std::uint8_t> envelope,
+                                 std::size_t packet_at);
 
 }  // namespace appclass::monitor

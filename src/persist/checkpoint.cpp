@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/fnv1a.hpp"
 #include "common/fs.hpp"
 #include "obs/log.hpp"
 
@@ -22,15 +23,6 @@ constexpr std::string_view kFileSuffix = ".ckpt";
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("checkpoint deserialization: " + what);
-}
-
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 std::string to_hex64(std::uint64_t v) {
@@ -123,7 +115,7 @@ std::string encode_checkpoint(const CheckpointData& data) {
   os << "appdb " << data.appdb_csv.size() << '\n' << data.appdb_csv << '\n';
   std::string body = os.str();
   body.append(kChecksumTag);
-  body.append(to_hex64(fnv1a64(
+  body.append(to_hex64(common::fnv1a64(
       std::string_view(body.data(), body.size() - kChecksumTag.size()))));
   body.push_back('\n');
   return body;
@@ -145,7 +137,8 @@ CheckpointData decode_checkpoint(const std::string& text) {
   if (recorded.size() != 16 ||
       recorded.find_first_not_of("0123456789abcdef") != std::string_view::npos)
     fail("truncated checksum footer (found '" + std::string(recorded) + "')");
-  const std::string computed = to_hex64(fnv1a64(view.substr(0, footer)));
+  const std::string computed =
+      to_hex64(common::fnv1a64(view.substr(0, footer)));
   if (recorded != computed)
     fail("checksum mismatch: checkpoint is corrupt (expected " + computed +
          ", found '" + std::string(recorded) + "')");

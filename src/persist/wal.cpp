@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "common/assert.hpp"
+#include "common/fnv1a.hpp"
 #include "common/fs.hpp"
 #include "monitor/wire.hpp"
 #include "obs/log.hpp"
@@ -25,15 +27,14 @@ constexpr std::string_view kSegmentPrefix = "wal-";
 constexpr std::string_view kSegmentSuffix = ".seg";
 /// kNever flushes to the OS at this buffer size (memory bound, no fsync).
 constexpr std::size_t kNeverPolicyFlushBytes = 256 * 1024;
-
-std::uint64_t fnv1a64(const unsigned char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+/// magic + seq + payload length, then the payload, then the checksum.
+constexpr std::size_t kRecordHeaderBytes = 4 + 8 + 4;
+constexpr std::size_t kRecordFooterBytes = 8;
+/// A payload is one monitor packet, so a longer length is corruption.
+constexpr std::size_t kMaxPayloadBytes =
+    monitor::packet_size(monitor::kMaxNodeIpLength);
+static_assert(kRecordHeaderBytes + kMaxPayloadBytes + kRecordFooterBytes <=
+              kWalReadChunkBytes);
 
 void put_u32(std::string& out, std::uint32_t v) {
   for (int shift = 24; shift >= 0; shift -= 8)
@@ -78,6 +79,58 @@ std::optional<std::uint64_t> segment_first_seq(std::string_view name) {
   }
   return seq;
 }
+
+/// Sequential reader over one segment file through a caller-owned buffer
+/// of kWalReadChunkBytes: a record cut by a chunk boundary is moved to the
+/// buffer's front and completed by the next read(2).
+class SegmentReader {
+ public:
+  SegmentReader(const std::string& path, std::uint8_t* buffer)
+      : fd_(::open(path.c_str(), O_RDONLY)), buffer_(buffer) {
+    failed_ = done_ = fd_ < 0;
+  }
+  ~SegmentReader() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  SegmentReader(const SegmentReader&) = delete;
+  SegmentReader& operator=(const SegmentReader&) = delete;
+
+  /// Makes at least `n` (<= kWalReadChunkBytes) unread bytes available at
+  /// data(); false when the file ends or a read fails first.
+  bool fill(std::size_t n) {
+    while (end_ - begin_ < n) {
+      if (done_) return false;
+      if (begin_ > 0) {
+        std::memmove(buffer_, buffer_ + begin_, end_ - begin_);
+        end_ -= begin_;
+        begin_ = 0;
+      }
+      const ssize_t got =
+          ::read(fd_, buffer_ + end_, kWalReadChunkBytes - end_);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) {
+        done_ = true;
+        failed_ = got < 0;
+        return false;
+      }
+      end_ += static_cast<std::size_t>(got);
+    }
+    return true;
+  }
+
+  const std::uint8_t* data() const noexcept { return buffer_ + begin_; }
+  std::size_t available() const noexcept { return end_ - begin_; }
+  void consume(std::size_t n) noexcept { begin_ += n; }
+  bool failed() const noexcept { return failed_; }
+
+ private:
+  int fd_;
+  std::uint8_t* buffer_;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  bool done_ = false;
+  bool failed_ = false;
+};
 
 }  // namespace
 
@@ -174,9 +227,10 @@ std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
   put_u32(buffer_, static_cast<std::uint32_t>(payload.size()));
   buffer_.append(reinterpret_cast<const char*>(payload.data()),
                  payload.size());
-  const std::uint64_t checksum = fnv1a64(
-      reinterpret_cast<const unsigned char*>(buffer_.data()) + body_start,
-      buffer_.size() - body_start);
+  const std::uint64_t checksum =
+      common::fnv1a64(std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(buffer_.data()) + body_start,
+          buffer_.size() - body_start));
   put_u64(buffer_, checksum);
   segment_bytes_ += record_size;
   ++appended_;
@@ -250,59 +304,63 @@ std::vector<std::string> wal_segments(const std::string& dir) {
 WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
                    const std::function<void(const WalRecord&)>& fn) {
   WalScan scan;
-  std::uint64_t last_delivered = 0;
   bool any_delivered = false;
+  const auto buffer =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kWalReadChunkBytes);
+  WalRecord record;
   for (const std::string& path : wal_segments(dir)) {
     ++scan.segments;
-    std::string data;
-    try {
-      data = common::read_file_or_throw(path);
-    } catch (const std::runtime_error&) {
+    SegmentReader reader(path, buffer.get());
+    if (!reader.fill(kSegmentHeader.size()) ||
+        std::memcmp(reader.data(), kSegmentHeader.data(),
+                    kSegmentHeader.size()) != 0) {
       scan.truncated_tail = true;
+      if (!reader.failed())
+        APPCLASS_LOG_WARN("wal.bad_segment_header", {"segment", path});
       continue;
     }
-    const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
-    std::size_t pos = 0;
-    if (data.size() < kSegmentHeader.size() ||
-        std::string_view(data.data(), kSegmentHeader.size()) !=
-            kSegmentHeader) {
-      scan.truncated_tail = true;
-      APPCLASS_LOG_WARN("wal.bad_segment_header", {"segment", path});
-      continue;
-    }
-    pos = kSegmentHeader.size();
+    reader.consume(kSegmentHeader.size());
     // Records until EOF or the first torn/corrupt one. A tear terminates
     // this segment only: later segments were written by a post-recovery
     // process that had already accepted the loss.
-    while (pos < data.size()) {
-      if (data.size() - pos < 4 + 8 + 4 ||
-          read_u64(bytes + pos, 4) != kRecordMagic) {
+    for (;;) {
+      if (!reader.fill(kRecordHeaderBytes)) {
+        if (reader.available() > 0 || reader.failed())
+          scan.truncated_tail = true;
+        break;
+      }
+      if (read_u64(reader.data(), 4) != kRecordMagic) {
         scan.truncated_tail = true;
         break;
       }
-      const std::uint64_t seq = read_u64(bytes + pos + 4, 8);
-      const std::size_t len =
-          static_cast<std::size_t>(read_u64(bytes + pos + 12, 4));
-      if (data.size() - pos < 4 + 8 + 4 + len + 8) {
+      const std::uint64_t seq = read_u64(reader.data() + 4, 8);
+      const auto len =
+          static_cast<std::size_t>(read_u64(reader.data() + 12, 4));
+      const std::size_t size = kRecordHeaderBytes + len + kRecordFooterBytes;
+      if (len > kMaxPayloadBytes || !reader.fill(size)) {
         scan.truncated_tail = true;
         break;
       }
-      const std::uint64_t recorded = read_u64(bytes + pos + 16 + len, 8);
-      if (fnv1a64(bytes + pos + 4, 12 + len) != recorded) {
+      // One pass over seq|len|payload yields the record checksum and the
+      // packet's body hash; every check runs on every record, but only a
+      // delivered record is decoded.
+      const std::uint8_t* bytes = reader.data();
+      const common::Fnv1aLanes hashes =
+          monitor::hash_envelope({bytes + 4, 12 + len}, 12);
+      const bool deliver =
+          seq >= from_seq && (!any_delivered || seq > scan.last_seq);
+      if (hashes.h64 != read_u64(bytes + kRecordHeaderBytes + len, 8) ||
+          !monitor::check_packet({bytes + kRecordHeaderBytes, len},
+                                 hashes.h32,
+                                 deliver ? &record.snapshot : nullptr)) {
         scan.truncated_tail = true;
         break;
       }
-      const auto snapshot = monitor::decode_packet(
-          std::span<const std::uint8_t>(bytes + pos + 16, len));
-      pos += 4 + 8 + 4 + len + 8;
-      if (!snapshot) {
-        scan.truncated_tail = true;
-        break;
-      }
-      if (seq >= from_seq && (!any_delivered || seq > last_delivered)) {
-        fn(WalRecord{seq, *snapshot});
+      reader.consume(size);
+      if (deliver) {
+        record.seq = seq;
+        fn(record);
         ++scan.records;
-        last_delivered = seq;
         any_delivered = true;
         scan.last_seq = seq;
       }

@@ -19,6 +19,10 @@
 //
 // A reader stops at the first invalid record: a torn final record is the
 // normal artifact of SIGKILL mid-append and is reported, not fatal.
+// Replay reads each segment through one buffer of kWalReadChunkBytes, so
+// its memory is bounded by that chunk, not by the segment size. One pass
+// over each record checks the record checksum and the packet's own
+// checksum together; only records that are delivered are decoded.
 // Segments rotate at a size threshold so checkpointing can prune whole
 // files below the checkpoint horizon.
 //
@@ -53,6 +57,9 @@ enum class FsyncPolicy {
 std::string_view to_string(FsyncPolicy policy) noexcept;
 std::optional<FsyncPolicy> fsync_policy_from_string(
     std::string_view name) noexcept;
+
+/// Size of the one read buffer replay_wal scans every segment through.
+inline constexpr std::size_t kWalReadChunkBytes = 256 * 1024;
 
 struct WalOptions {
   FsyncPolicy fsync = FsyncPolicy::kAlways;
@@ -136,7 +143,14 @@ struct WalScan {
 /// through `fn`. A torn/corrupt record terminates its segment (flagged as
 /// truncated_tail) — everything after a torn write within one segment is
 /// untrusted, while later segments were written by a post-recovery
-/// process and stay valid. A missing directory yields an empty scan.
+/// process and stay valid. Records below `from_seq` are checked the same
+/// way, so a corrupt one also ends its segment. A segment that cannot be
+/// opened or read ends where the read failed, like a tear. A missing
+/// directory yields an empty scan.
+///
+/// `fn` receives one reused WalRecord, overwritten by the next record: it
+/// is valid only during the call, so copy what must outlive it. Memory is
+/// bounded by kWalReadChunkBytes whatever the segment size.
 WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
                    const std::function<void(const WalRecord&)>& fn);
 

@@ -104,5 +104,59 @@ TEST(Wire, RandomBytesRejected) {
   }
 }
 
+TEST(Wire, DecodeIntoReusedSnapshotMatchesDecodePacket) {
+  // The reused target starts with a longer node ip than any packet here,
+  // so a decode that kept stale bytes would show.
+  metrics::Snapshot reused = sample_snapshot(3);
+  reused.node_ip = "192.168.100.200-with-a-long-suffix";
+  const auto agrees = [&reused](std::span<const std::uint8_t> packet) {
+    const auto fresh = decode_packet(packet);
+    const bool ok = decode_packet_into(packet, reused);
+    if (ok != fresh.has_value()) return false;
+    if (!ok) return true;
+    return reused.time == fresh->time && reused.node_ip == fresh->node_ip &&
+           encode_packet(reused) == encode_packet(*fresh);
+  };
+
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    metrics::Snapshot s = sample_snapshot(seed);
+    s.node_ip = seed % 2 == 0 ? "10.1.2.3" : "";
+    const auto packet = encode_packet(s);
+    EXPECT_TRUE(agrees(packet)) << seed;
+    EXPECT_EQ(reused.node_ip, s.node_ip);
+  }
+
+  linalg::Rng rng(7);
+  for (int t = 0; t < 200; ++t) {
+    auto packet = encode_packet(
+        sample_snapshot(static_cast<std::uint64_t>(100 + t)));
+    const std::size_t idx = rng.uniform_index(packet.size());
+    packet[idx] ^= static_cast<std::uint8_t>(1 + rng.uniform_index(255));
+    EXPECT_TRUE(agrees(packet)) << t;
+    packet.pop_back();
+    EXPECT_TRUE(agrees(packet)) << t;
+  }
+
+  linalg::Rng junk_rng(9);
+  for (int t = 0; t < 100; ++t) {
+    std::vector<std::uint8_t> junk(1 + junk_rng.uniform_index(400));
+    for (auto& b : junk)
+      b = static_cast<std::uint8_t>(junk_rng.uniform_index(256));
+    EXPECT_TRUE(agrees(junk)) << t;
+  }
+}
+
+TEST(Wire, CheckPacketWithoutTargetDecidesLikeDecode) {
+  const auto packet = encode_packet(sample_snapshot());
+  const std::uint32_t body = common::fnv1a32(
+      std::span<const std::uint8_t>(packet).subspan(kPacketBodyOffset));
+  EXPECT_TRUE(check_packet(packet, body));
+  EXPECT_FALSE(check_packet(packet, body ^ 1u));
+  auto long_ip = packet;
+  long_ip[18] = 0xff;  // node-IP length over the cap
+  EXPECT_FALSE(check_packet(long_ip, common::fnv1a32(
+      std::span<const std::uint8_t>(long_ip).subspan(kPacketBodyOffset))));
+}
+
 }  // namespace
 }  // namespace appclass::monitor

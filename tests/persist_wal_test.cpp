@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "core_test_util.hpp"
 #include "monitor/wire.hpp"
 #include "obs/metrics.hpp"
@@ -49,6 +50,48 @@ class WalTest : public ::testing::Test {
 
   std::string dir_;
 };
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+std::uint64_t be(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                 std::size_t n) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) v = (v << 8) | bytes[at + i];
+  return v;
+}
+
+/// Byte offset of every record in a segment (after the 16-byte header).
+std::vector<std::size_t> record_offsets(const std::vector<std::uint8_t>& seg) {
+  std::vector<std::size_t> out;
+  for (std::size_t pos = 16; pos + 16 <= seg.size();
+       pos += 16 + static_cast<std::size_t>(be(seg, pos + 12, 4)) + 8)
+    out.push_back(pos);
+  return out;
+}
+
+/// Flips one byte inside the packet body of the record at `offset` and,
+/// when `reseal`, rewrites the record's FNV-1a-64 to match, so only the
+/// packet's own checksum still tells.
+void corrupt_packet(std::vector<std::uint8_t>& seg, std::size_t offset,
+                    bool reseal) {
+  const auto len = static_cast<std::size_t>(be(seg, offset + 12, 4));
+  seg[offset + 16 + monitor::kPacketBodyOffset + 30] ^= 0x5a;
+  if (!reseal) return;
+  const std::uint64_t sum = common::fnv1a64(
+      std::span<const std::uint8_t>(seg).subspan(offset + 4, 12 + len));
+  for (std::size_t i = 0; i < 8; ++i)
+    seg[offset + 16 + len + i] = static_cast<std::uint8_t>(sum >> (56 - 8 * i));
+}
 
 TEST_F(WalTest, AppendReplayRoundTrip) {
   const auto snapshots = stream(12);
@@ -233,6 +276,104 @@ TEST_F(WalTest, MissingDirectoryIsAnEmptyScan) {
   EXPECT_EQ(scan.records, 0u);
   EXPECT_FALSE(scan.truncated_tail);
   EXPECT_EQ(scan.segments, 0u);
+}
+
+TEST_F(WalTest, SegmentLargerThanOneReadChunkReplaysEveryRecord) {
+  const auto snapshots = stream(1200);
+  {
+    WalWriter wal(dir_);
+    for (const auto& s : snapshots) wal.append(s);
+  }
+  const auto segments = wal_segments(dir_);
+  ASSERT_EQ(segments.size(), 1u);
+  const auto seg = read_bytes(segments[0]);
+  ASSERT_GT(seg.size(), kWalReadChunkBytes);
+  // Some record is cut by the first chunk boundary.
+  const auto offsets = record_offsets(seg);
+  ASSERT_EQ(offsets.size(), snapshots.size());
+  bool straddles = false;
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i)
+    straddles |= offsets[i] < kWalReadChunkBytes &&
+                 offsets[i + 1] > kWalReadChunkBytes;
+  EXPECT_TRUE(straddles);
+
+  std::size_t next = 0;
+  const WalScan scan = replay_wal(dir_, 0, [&](const WalRecord& r) {
+    ASSERT_LT(next, snapshots.size());
+    EXPECT_EQ(r.seq, next);
+    EXPECT_EQ(monitor::encode_packet(r.snapshot),
+              monitor::encode_packet(snapshots[next]))
+        << next;
+    ++next;
+  });
+  EXPECT_FALSE(scan.truncated_tail);
+  EXPECT_EQ(scan.records, snapshots.size());
+  EXPECT_EQ(next, snapshots.size());
+}
+
+TEST_F(WalTest, TornRecordPastTheFirstChunkDeliversExactlyThePrefix) {
+  {
+    WalWriter wal(dir_);
+    for (const auto& s : stream(1200)) wal.append(s);
+  }
+  const std::string segment = wal_segments(dir_).at(0);
+  const auto offsets = record_offsets(read_bytes(segment));
+  constexpr std::size_t kTorn = 1000;
+  ASSERT_GT(offsets[kTorn], kWalReadChunkBytes);
+  std::filesystem::resize_file(segment, offsets[kTorn] + 20);
+
+  std::vector<std::uint64_t> seqs;
+  const WalScan scan =
+      replay_wal(dir_, 0, [&](const WalRecord& r) { seqs.push_back(r.seq); });
+  EXPECT_TRUE(scan.truncated_tail);
+  ASSERT_EQ(seqs.size(), kTorn);
+  for (std::size_t i = 0; i < seqs.size(); ++i) EXPECT_EQ(seqs[i], i);
+  EXPECT_EQ(scan.last_seq, kTorn - 1);
+}
+
+TEST_F(WalTest, ResealedPacketCorruptionIsRejected) {
+  // The record checksum is valid again, so only the packet's FNV-1a-32,
+  // checked in the same pass, can catch the flipped byte.
+  {
+    WalWriter wal(dir_);
+    for (const auto& s : stream(1200)) wal.append(s);
+  }
+  const std::string segment = wal_segments(dir_).at(0);
+  auto seg = read_bytes(segment);
+  const auto offsets = record_offsets(seg);
+  constexpr std::size_t kBad = 900;
+  corrupt_packet(seg, offsets[kBad], /*reseal=*/true);
+  write_bytes(segment, seg);
+
+  std::uint64_t delivered = 0;
+  const WalScan scan =
+      replay_wal(dir_, 0, [&](const WalRecord&) { ++delivered; });
+  EXPECT_TRUE(scan.truncated_tail);
+  EXPECT_EQ(delivered, kBad);
+  EXPECT_EQ(scan.last_seq, kBad - 1);
+}
+
+TEST_F(WalTest, CorruptRecordBelowFromSeqStillEndsItsSegment) {
+  // Three records per segment: seqs 0-2, 3-5, 6-8, 9-11.
+  {
+    WalWriter wal(dir_, {.max_segment_bytes = 1000});
+    for (const auto& s : stream(12)) wal.append(s);
+  }
+  const auto segments = wal_segments(dir_);
+  ASSERT_EQ(segments.size(), 4u);
+  auto seg = read_bytes(segments[0]);
+  const auto offsets = record_offsets(seg);
+  ASSERT_EQ(offsets.size(), 3u);
+  corrupt_packet(seg, offsets[1], /*reseal=*/false);
+  write_bytes(segments[0], seg);
+
+  // Seq 1 is below from_seq and never delivered, yet its corruption ends
+  // segment 0: seq 2 is lost, later segments replay.
+  std::vector<std::uint64_t> seqs;
+  const WalScan scan =
+      replay_wal(dir_, 2, [&](const WalRecord& r) { seqs.push_back(r.seq); });
+  EXPECT_TRUE(scan.truncated_tail);
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{3, 4, 5, 6, 7, 8, 9, 10, 11}));
 }
 
 TEST(WalPolicy, StringRoundTrip) {
