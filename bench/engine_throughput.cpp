@@ -1,5 +1,5 @@
 // Engine throughput: snapshots/sec of the seed's scalar k-NN path vs the
-// blocked SoA kernel vs the threaded pipeline, written as
+// k-d tree index (row "knn_blocked") vs the threaded pipeline, written as
 // BENCH_engine.json for CI trend tracking (docs/performance.md explains
 // the fields).
 //
@@ -38,7 +38,7 @@ struct Row {
 };
 
 /// Synthetic PCA-space training set: five tight clusters like Figure 3,
-/// big enough that the distance loop dominates.
+/// big enough that the scalar path's distance loop dominates.
 linalg::Matrix cluster_points(std::size_t n, std::uint32_t seed) {
   std::mt19937 rng(seed);
   std::normal_distribution<double> noise(0.0, 0.35);
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
 
-  // --- Kernel microbenchmark: scalar reference vs blocked SoA, same
+  // --- Kernel microbenchmark: scalar reference vs the k-d tree, same
   // training set, same queries, single thread.
   {
     const linalg::Matrix train = cluster_points(n_train, 7);
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
 
   const double scalar_ps = rows[0].per_sec();
   const double blocked_ps = rows[1].per_sec();
-  std::printf("\nblocked kernel speedup over scalar: %.2fx\n",
+  std::printf("\nk-d tree speedup over scalar: %.2fx\n",
               blocked_ps / scalar_ps);
 
   // Traced serial run vs untraced serial run (>1.0 = tracing costs time).

@@ -1,17 +1,17 @@
 // k-Nearest-Neighbor classifier (paper section 4.2.3).
 //
-// Brute-force k-NN with majority vote over the k geometrically closest
+// Exact k-NN with majority vote over the k geometrically closest
 // training points; ties break toward the class of the nearer neighbors
 // (summed inverse ranks), matching the "odd k" convention the paper uses
 // to avoid most ties in the first place (k = 3).
 //
-// The classifier is a thin policy layer over the blocked structure-of-
-// arrays kernel in engine/knn_kernel.hpp: training builds the SoA index,
-// and `query(points, QueryOptions)` answers every question (labels, vote
-// shares, neighbor indices, novelty distances) from one kernel scan per
-// point. Everything beyond the label is derived from that scan's hits in
-// one place (the private evidence() helper), which the pipeline's
-// per-snapshot path shares.
+// The classifier is a thin policy layer over the exact k-d tree index in
+// engine/knn_kernel.hpp: training builds the tree, and
+// `query(points, QueryOptions)` answers every question (labels, vote
+// shares, neighbor indices, novelty distances) from one index search per
+// point, bit-identical to a brute-force scan. Everything beyond the
+// label is derived from that search's hits in one place (the private
+// evidence() helper), which the pipeline's per-snapshot path shares.
 #pragma once
 
 #include <cstddef>
@@ -69,7 +69,7 @@ class KnnClassifier {
   explicit KnnClassifier(KnnOptions options = {});
 
   /// Stores the training set (row i of `points` has label `labels[i]`)
-  /// and builds the blocked SoA index over it.
+  /// and builds the k-d tree index over it.
   void train(linalg::Matrix points, std::vector<ApplicationClass> labels);
 
   bool trained() const noexcept { return !labels_.empty(); }
@@ -106,7 +106,7 @@ class KnnClassifier {
     return labels_;
   }
 
-  /// The underlying blocked SoA index (bench and diagnostics).
+  /// The underlying k-d tree index (bench and diagnostics).
   const engine::BlockedKnnIndex& index() const noexcept { return index_; }
 
  private:

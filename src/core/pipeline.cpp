@@ -258,7 +258,8 @@ ClassificationResult ClassificationPipeline::classify(
           // by previous shards on the same worker instead of sizing a
           // fresh one.
           auto scratch = scratch_pool_->acquire();
-          const std::uint64_t pruned_before = scratch->kernel.pruned_tiles;
+          const std::uint64_t visited_before =
+              scratch->kernel.visited_points;
           knn_.query_rows(result.projected, begin, end, query_options,
                           queries, scratch->kernel);
           shard_span.stop();
@@ -267,8 +268,8 @@ ClassificationResult ClassificationPipeline::classify(
             shard_span.add_attr({"begin", begin});
             shard_span.add_attr({"end", end});
             shard_span.add_attr(
-                {"pruned_tiles",
-                 scratch->kernel.pruned_tiles - pruned_before});
+                {"visited_points",
+                 scratch->kernel.visited_points - visited_before});
           }
         });
     stage_span.stop_per_item(m);

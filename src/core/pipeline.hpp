@@ -235,7 +235,7 @@ class ClassificationPipeline {
 
   /// THE per-snapshot classification routine: normalizes + projects
   /// `snapshot` straight into slot `i` of the batch's feature-major query
-  /// block, runs the k-NN scan on it and votes. Label, vote share and
+  /// block, runs the k-NN search on it and votes. Label, vote share and
   /// novelty match classify(pool) on the same snapshot bit for bit.
   /// Distinct slots are independent — shards may call this concurrently
   /// with one scratch per caller. Allocation-free after warmup.

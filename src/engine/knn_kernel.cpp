@@ -4,97 +4,87 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "engine/knn_block_tiles.hpp"
 
 namespace appclass::engine {
-namespace {
-
-/// Relative slack applied to the prune bound: computed distances carry a
-/// handful of ulps of rounding, the bound is slackened by ~1e-6 — six
-/// orders of magnitude more than needed, still pruning everything a real
-/// novelty outlier should prune.
-constexpr double kPruneSlack = 0.999999;
-
-}  // namespace
 
 void BlockedKnnIndex::build(const linalg::Matrix& points,
                             std::vector<core::ApplicationClass> labels,
                             std::size_t k, DistanceMetric metric) {
   APPCLASS_EXPECTS(points.rows() == labels.size());
   APPCLASS_EXPECTS(points.rows() >= 1);
+  APPCLASS_EXPECTS(points.rows() < std::numeric_limits<std::uint32_t>::max());
   APPCLASS_EXPECTS(points.cols() >= 1);
+  // The median split orders coordinates with '<', which NaN would break.
+  for (const double v : points.data()) APPCLASS_EXPECTS(!std::isnan(v));
   const std::size_t n = points.rows();
   dims_ = points.cols();
   k_ = k;
   metric_ = metric;
   labels_ = std::move(labels);
-  padded_ = (n + kTile - 1) / kTile * kTile;
 
-  // Feature-major copy: feature j of point i at features_[j * padded_ + i].
-  features_.assign(dims_ * padded_, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = points.row(i);
-    for (std::size_t j = 0; j < dims_; ++j)
-      features_[j * padded_ + i] = row[j];
-  }
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  // Leaves hold at least kLeafSize / 2 points once n > kLeafSize, so
+  // there are at most n / 4 of them and n / 2 nodes.
+  nodes_.clear();
+  nodes_.reserve(n / 2 + 1);
+  build_node(points, order, 0, n, 0);
 
-  // Per-point norms (ascending-feature accumulation, like the distances)
-  // and per-tile unsquared bounds for the prune test.
-  sq_norms_.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    const auto row = points.row(i);
-    if (metric_ == DistanceMetric::kManhattan) {
-      for (std::size_t j = 0; j < dims_; ++j) acc += std::abs(row[j]);
-    } else {
-      for (std::size_t j = 0; j < dims_; ++j) acc += row[j] * row[j];
-    }
-    sq_norms_[i] = acc;
+  // Feature-major copy in leaf order: feature j of stored point p at
+  // features_[j * n + p], its training index at index_[p].
+  features_.resize(dims_ * n);
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto row = points.row(order[p]);
+    for (std::size_t j = 0; j < dims_; ++j) features_[j * n + p] = row[j];
   }
-  const std::size_t tiles = padded_ / kTile;
-  tile_min_norm_.assign(tiles, std::numeric_limits<double>::infinity());
-  tile_max_norm_.assign(tiles, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double norm = metric_ == DistanceMetric::kManhattan
-                            ? sq_norms_[i]
-                            : std::sqrt(sq_norms_[i]);
-    const std::size_t t = i / kTile;
-    tile_min_norm_[t] = std::min(tile_min_norm_[t], norm);
-    tile_max_norm_[t] = std::max(tile_max_norm_[t], norm);
-  }
+  index_ = std::move(order);
 }
 
-double BlockedKnnIndex::query_norm(const double* q,
-                                   std::size_t qstride) const {
-  double acc = 0.0;
-  if (metric_ == DistanceMetric::kManhattan) {
-    for (std::size_t j = 0; j < dims_; ++j) acc += std::abs(q[j * qstride]);
-    return acc;
+std::uint32_t BlockedKnnIndex::build_node(const linalg::Matrix& points,
+                                          std::vector<std::uint32_t>& order,
+                                          std::size_t begin, std::size_t end,
+                                          std::size_t depth) {
+  const auto self = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.emplace_back();
+  if (end - begin <= kLeafSize) {
+    nodes_[self] = Node{0.0, kLeaf, static_cast<std::uint32_t>(begin),
+                        static_cast<std::uint32_t>(end)};
+    return self;
   }
+  APPCLASS_ENSURES(depth < kMaxDepth);
+  std::size_t axis = 0;
+  double widest = -1.0;
   for (std::size_t j = 0; j < dims_; ++j) {
-    const double v = q[j * qstride];
-    acc += v * v;
+    double lo = points(order[begin], j);
+    double hi = lo;
+    for (std::size_t p = begin + 1; p < end; ++p) {
+      lo = std::min(lo, points(order[p], j));
+      hi = std::max(hi, points(order[p], j));
+    }
+    if (hi - lo > widest) {
+      widest = hi - lo;
+      axis = j;
+    }
   }
-  return std::sqrt(acc);
-}
-
-double BlockedKnnIndex::tile_lower_bound(std::size_t t, double qnorm) const {
-  // Reverse triangle inequality: d(q, x) >= |norm(q) - norm(x)| for any
-  // norm-induced metric. Zero (never prunes) when qnorm falls inside the
-  // tile's norm range.
-  double delta = 0.0;
-  if (qnorm < tile_min_norm_[t])
-    delta = tile_min_norm_[t] - qnorm;
-  else if (qnorm > tile_max_norm_[t])
-    delta = qnorm - tile_max_norm_[t];
-  else
-    return 0.0;
-  const double bound =
-      metric_ == DistanceMetric::kManhattan ? delta : delta * delta;
-  return bound * kPruneSlack;
+  // Median on the split axis: points before `mid` are <= the split and
+  // points from `mid` on are >= it.
+  const std::size_t mid = begin + (end - begin) / 2;
+  const auto first = order.begin();
+  std::nth_element(first + static_cast<std::ptrdiff_t>(begin),
+                   first + static_cast<std::ptrdiff_t>(mid),
+                   first + static_cast<std::ptrdiff_t>(end),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return points(a, axis) < points(b, axis);
+                   });
+  const double split = points(order[mid], axis);
+  const std::uint32_t lo = build_node(points, order, begin, mid, depth + 1);
+  const std::uint32_t hi = build_node(points, order, mid, end, depth + 1);
+  nodes_[self] = Node{split, static_cast<std::uint32_t>(axis), lo, hi};
+  return self;
 }
 
 std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k(
@@ -110,38 +100,32 @@ std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k(
   return top_k_block(block.point(i), block.stride(), scratch);
 }
 
-void BlockedKnnIndex::tile_distances(const double* q, std::size_t qstride,
-                                     std::size_t t0, std::size_t width,
-                                     std::vector<double>& acc) const {
-  // Each point's accumulator sees features in ascending order — the
-  // exact summation order of linalg::squared_distance /
-  // manhattan_distance; the query's stride only changes where feature j
-  // is loaded from. The first feature stores instead of adding into a
-  // zeroed array (every per-feature term is non-negative, so 0 + term ==
-  // term bit for bit), and the per-feature sweeps run through the
-  // vectorized blocktiles primitives.
-  double* const a = acc.data();
-  if (metric_ == DistanceMetric::kManhattan) {
-    if (dims_ == 2) {
-      blocktiles::l1_pair(features_.data() + t0, features_.data() + padded_ + t0,
-                          q[0], q[qstride], a, width);
-      return;
-    }
-    blocktiles::l1_first(features_.data() + t0, q[0], a, width);
-    for (std::size_t j = 1; j < dims_; ++j)
-      blocktiles::l1_accumulate(features_.data() + j * padded_ + t0,
-                                q[j * qstride], a, width);
-    return;
-  }
+template <bool kManhattan>
+void BlockedKnnIndex::leaf_distances(const double* q, std::size_t qstride,
+                                     std::size_t p0, std::size_t width,
+                                     double* acc) const {
+  // Each point's accumulator sees features in ascending order, like
+  // linalg::squared_distance / manhattan_distance; the first feature
+  // stores instead of adding into zero (0 + term == term bit for bit).
+  const auto term = [](double d) { return kManhattan ? std::abs(d) : d * d; };
+  const std::size_t n = index_.size();
+  const double* col = features_.data() + p0;
+  const double q0 = q[0];
   if (dims_ == 2) {
-    blocktiles::sq_pair(features_.data() + t0, features_.data() + padded_ + t0,
-                        q[0], q[qstride], a, width);
+    // The paper's two principal components: both terms in one pass,
+    // the same rounding sequence as the two sweeps below.
+    const double* const col1 = col + n;
+    const double q1 = q[qstride];
+    for (std::size_t i = 0; i < width; ++i)
+      acc[i] = term(col[i] - q0) + term(col1[i] - q1);
     return;
   }
-  blocktiles::sq_first(features_.data() + t0, q[0], a, width);
-  for (std::size_t j = 1; j < dims_; ++j)
-    blocktiles::sq_accumulate(features_.data() + j * padded_ + t0,
-                              q[j * qstride], a, width);
+  for (std::size_t i = 0; i < width; ++i) acc[i] = term(col[i] - q0);
+  for (std::size_t j = 1; j < dims_; ++j) {
+    col += n;
+    const double qj = q[j * qstride];
+    for (std::size_t i = 0; i < width; ++i) acc[i] += term(col[i] - qj);
+  }
 }
 
 std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_block(
@@ -149,25 +133,18 @@ std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_block(
   APPCLASS_EXPECTS(built());
   const std::size_t n = labels_.size();
   const std::size_t k = std::min(k_, n);
-  constexpr std::size_t kChunk = blocktiles::kMinChunk;
-  scratch.acc.resize(kTile);
-  scratch.chunk_mins.resize(kTile / kChunk);
   scratch.hits.resize(k);
   Hit* const hits = scratch.hits.data();
   std::size_t count = 0;
-  // The norm (and its sqrt) only feeds the cross-tile prune test, which
-  // a single-tile index never reaches — common for this domain's small
-  // labeled training pools.
-  const double qnorm = n > kTile ? query_norm(q, qstride) : 0.0;
+  const bool manhattan = metric_ == DistanceMetric::kManhattan;
 
-  // Lexicographic (distance, index) insertion, valid under ANY candidate
-  // processing order. The reference ascending scan keeps exactly the k
+  // Lexicographic (distance, index) insertion, valid under ANY visit
+  // order. The reference ascending scan keeps exactly the k
   // lexicographically smallest (distance, index) pairs — its strict '<'
   // on distance means a later tie never displaces an earlier index — so
-  // maintaining that set directly frees the loop below to visit chunks
-  // out of order and still return bit-identical hits in the same order.
-  const auto consider = [&](double d, std::size_t index) {
-    const auto idx = static_cast<std::uint32_t>(index);
+  // maintaining that set directly lets the search visit leaves in any
+  // order and still return bit-identical hits in the same order.
+  const auto consider = [&](double d, std::uint32_t idx) {
     if (count == k && (d > hits[k - 1].distance ||
                        (d == hits[k - 1].distance && idx > hits[k - 1].index)))
       return;
@@ -182,45 +159,48 @@ std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_block(
     if (count < k) ++count;
   };
 
-  for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
-    const std::size_t width = std::min(kTile, n - t0);
-    if (count == k &&
-        tile_lower_bound(t0 / kTile, qnorm) > hits[k - 1].distance) {
-      ++scratch.pruned_tiles;
-      continue;
+  // Far children still owed a visit, each with its split-plane bound.
+  struct Pending {
+    std::uint32_t node;
+    double bound;
+  };
+  std::array<Pending, kMaxDepth> pending{};
+  std::size_t depth = 0;
+  std::uint32_t node = 0;
+  for (;;) {
+    // Descend to the query's leaf, deferring each far child.
+    while (nodes_[node].axis != kLeaf) {
+      const Node& inner = nodes_[node];
+      const double diff = inner.split - q[inner.axis * qstride];
+      const bool left = diff > 0.0;
+      pending[depth++] = {left ? inner.hi : inner.lo,
+                          manhattan ? std::abs(diff) : diff * diff};
+      node = left ? inner.lo : inner.hi;
     }
-    tile_distances(q, qstride, t0, width, scratch.acc);
-    const double* const a = scratch.acc.data();
-    const std::size_t blocks = width / kChunk;
-    if (blocks > 0) {
-      // Per-8 minima come from the vectorized sweep TU, near-free next
-      // to the distance pass. Seeding from the most promising chunk
-      // usually collapses the k-th distance to its final value at once,
-      // so the single compare below then discards almost every other
-      // chunk wholesale — unlike an ascending scan, where a query near
-      // a late cluster drags a loose k-th bound across all the early
-      // chunks. (A scalar chunk filter in ascending order was measured
-      // and lost to the plain scan.)
-      double* const mins = scratch.chunk_mins.data();
-      blocktiles::chunk_mins(a, width, mins);
-      std::size_t best = 0;
-      for (std::size_t b = 1; b < blocks; ++b)
-        if (mins[b] < mins[best]) best = b;
-      const std::size_t b0 = best * kChunk;
-      for (std::size_t i = b0; i < b0 + kChunk; ++i) consider(a[i], t0 + i);
-      for (std::size_t b = 0; b < blocks; ++b) {
-        if (b == best) continue;
-        // Strict '>': a chunk whose min ties the k-th distance may hold
-        // an equal-distance lower index, which the set does admit.
-        if (count == k && mins[b] > hits[k - 1].distance) continue;
-        const std::size_t i0 = b * kChunk;
-        for (std::size_t i = i0; i < i0 + kChunk; ++i) consider(a[i], t0 + i);
+
+    const Node& leaf = nodes_[node];
+    const std::size_t p0 = leaf.lo;
+    const std::size_t width = leaf.hi - leaf.lo;
+    std::array<double, kLeafSize> acc{};
+    if (manhattan)
+      leaf_distances<true>(q, qstride, p0, width, acc.data());
+    else
+      leaf_distances<false>(q, qstride, p0, width, acc.data());
+    scratch.visited_points += width;
+    for (std::size_t i = 0; i < width; ++i) consider(acc[i], index_[p0 + i]);
+
+    // Resume at the deepest far child whose bound does not exceed the
+    // k-th distance. Strict '>': a far point at exactly the k-th
+    // distance may carry a lower index, which the set does admit.
+    for (;;) {
+      if (depth == 0) return {hits, count};
+      const Pending next = pending[--depth];
+      if (count < k || !(next.bound > hits[k - 1].distance)) {
+        node = next.node;
+        break;
       }
     }
-    for (std::size_t i = blocks * kChunk; i < width; ++i)
-      consider(a[i], t0 + i);
   }
-  return {hits, count};
 }
 
 BlockedKnnIndex::Vote BlockedKnnIndex::vote(std::span<const Hit> hits) const {

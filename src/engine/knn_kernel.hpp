@@ -1,28 +1,30 @@
-// Blocked structure-of-arrays k-NN kernel.
+// Exact k-NN index: a bucket k-d tree over a feature-major point store.
 //
 // The seed classifier walked an AoS row-major matrix one training point
 // at a time through a `std::span` distance call, heap-allocated an
-// n-entry (distance, index) vector per query, and partial_sort'ed it —
-// cache-hostile and allocation-bound. This kernel stores the training
-// set feature-major (column-major: feature j of every point contiguous),
-// computes distances tile-by-tile so the compiler vectorizes across the
-// points of a tile, and keeps only the best k via insertion into a
-// k-slot scratch array. No allocation on the query path.
+// n-entry (distance, index) vector per query, and partial_sort'ed it.
+// This index splits the training set once, at build time, into a bucket
+// k-d tree (Friedman, Bentley & Finkel, ACM TOMS 1977): leaves of at
+// most kLeafSize points, each inner node splitting at the median of its
+// widest axis. Points are stored leaf-contiguous and feature-major
+// (feature j of the points of one leaf is contiguous) with their
+// original training index. A query descends near-child first and visits
+// a far child only while its split-plane bound is not strictly greater
+// than the current k-th distance; the best k insert into a k-slot
+// scratch array. No allocation on the query path.
 //
 // Numerical contract: per-point distance accumulation visits features in
 // ascending order — exactly the order of linalg::squared_distance /
 // manhattan_distance — so distances (and therefore neighbour order,
 // votes, and novelty scores) are bit-identical to the seed's scalar
 // path. Ties in distance break toward the lower training index, matching
-// partial_sort over (distance, index) pairs.
-//
-// Precomputed norms: each point's squared L2 norm (or L1 norm under
-// Manhattan) is stored at build time, folded into per-tile [min, max]
-// norm bounds. A tile whose whole norm range is provably farther than
-// the current k-th best — by the reverse triangle inequality
-// d(q, x) >= |norm(q) - norm(x)| — is skipped without touching its
-// features. The bound is slackened by a relative epsilon so floating-
-// point rounding can never prune a point the exact scan would keep.
+// partial_sort over (distance, index) pairs. Pruning never changes the
+// answer: rounding is monotone, so every point beyond a split plane s on
+// axis a has a computed distance >= the bound (s - q_a)^2 (|s - q_a|
+// under L1); a far child is skipped only when that bound is strictly
+// greater than the k-th distance, so an equal-distance lower index is
+// still found; and the lexicographic (distance, index) insertion makes
+// the hits independent of the order leaves are visited in.
 #pragma once
 
 #include <cstddef>
@@ -79,10 +81,6 @@ class QueryBlock {
 
 class BlockedKnnIndex {
  public:
-  /// Points per tile: 256 doubles = 2 KiB per feature column slice, so a
-  /// tile of the paper's 2-D projected space lives in L1.
-  static constexpr std::size_t kTile = 256;
-
   /// One neighbour candidate: metric-space distance (squared L2, or L1
   /// sum) and the training-point index.
   struct Hit {
@@ -96,24 +94,21 @@ class BlockedKnnIndex {
     double share = 0.0;  ///< winning votes / k, in (0, 1]
   };
 
-  /// Per-thread scratch reused across queries (tile accumulators + the
-  /// k-slot selection array). Cheap to default-construct; sized lazily.
+  /// Per-thread scratch reused across queries (the k-slot selection
+  /// array). Cheap to default-construct; sized lazily.
   struct Scratch {
-    std::vector<double> acc;
     std::vector<Hit> hits;
-    /// Per-8-candidate chunk minima of `acc`, filled by the scan so its
-    /// selection loop can skip whole chunks (see top_k_block).
-    std::vector<double> chunk_mins;
-    /// Tiles skipped by the norm-bound prune since construction (or the
-    /// caller's last reset); accumulates across queries so shard spans
-    /// can report prune effectiveness.
-    std::uint64_t pruned_tiles = 0;
+    /// Distance evaluations since construction (or the caller's last
+    /// reset); accumulates across queries so shard spans can report how
+    /// much of the training set the search touched.
+    std::uint64_t visited_points = 0;
   };
 
   BlockedKnnIndex() = default;
 
-  /// Copies `points` (row-major, one training point per row) into the
-  /// blocked SoA layout. `k` is clamped to the point count at query time.
+  /// Builds the tree over `points` (row-major, one training point per
+  /// row, none NaN) and copies them into its leaf order. `k` is clamped
+  /// to the point count at query time.
   void build(const linalg::Matrix& points,
              std::vector<core::ApplicationClass> labels, std::size_t k,
              DistanceMetric metric);
@@ -135,7 +130,7 @@ class BlockedKnnIndex {
 
   /// Same query, reading point `i` of a feature-major QueryBlock in
   /// place (stride = block.stride()) — the batched-ingest entry point.
-  /// Both overloads run the one scan (top_k_block), so a point answers
+  /// Both overloads run the one search (top_k_block), so a point answers
   /// identically whichever layout holds it.
   std::span<const Hit> top_k(const QueryBlock& block, std::size_t i,
                              Scratch& scratch) const;
@@ -145,30 +140,46 @@ class BlockedKnnIndex {
   Vote vote(std::span<const Hit> hits) const;
 
  private:
-  /// The scan behind both top_k overloads: feature j of the query at
+  /// Most points in one leaf of the tree.
+  static constexpr std::size_t kLeafSize = 8;
+  /// One tree node. An inner node splits on `axis` at `split`: child
+  /// `lo` holds its points with x[axis] <= split and child `hi` those
+  /// with x[axis] >= split (a run of equal values may straddle the two).
+  /// A leaf (axis == kLeaf) holds the stored points [lo, hi).
+  struct Node {
+    double split = 0.0;
+    std::uint32_t axis = 0;
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+  };
+  static constexpr std::uint32_t kLeaf = ~std::uint32_t{0};
+  /// Most inner nodes on one root-to-leaf path, which bounds the
+  /// search's fixed stack. A median split leaves at least kLeafSize / 2
+  /// points on each side, so a path has at most log2(n / 4) inner nodes:
+  /// under 32 for any uint32 point count.
+  static constexpr std::size_t kMaxDepth = 32;
+
+  /// The search behind both top_k overloads: feature j of the query at
   /// q[j * qstride] (1 for a span, the block's stride for a QueryBlock).
-  /// Per-feature arithmetic and tie handling are reference_top_k's; it
-  /// only skips provably-irrelevant work — pruned tiles, and selection
-  /// chunks whose minimum cannot beat the current k-th distance.
   std::span<const Hit> top_k_block(const double* q, std::size_t qstride,
                                    Scratch& scratch) const;
-  /// Computes distances of points [t0, t0+width) into scratch.acc.
-  void tile_distances(const double* q, std::size_t qstride, std::size_t t0,
-                      std::size_t width, std::vector<double>& acc) const;
-  /// Reverse-triangle-inequality lower bound of tile t for a query of
-  /// norm `qnorm` (metric space: squared for L2), slackened for FP
-  /// safety; 0 when the tile cannot be pruned.
-  double tile_lower_bound(std::size_t t, double qnorm) const;
-  double query_norm(const double* q, std::size_t qstride) const;
+  /// acc[i] = distance from the query to stored point p0 + i, i < width.
+  template <bool kManhattan>
+  void leaf_distances(const double* q, std::size_t qstride, std::size_t p0,
+                      std::size_t width, double* acc) const;
+  /// Builds the subtree over order[begin, end) (training indices) and
+  /// returns its node.
+  std::uint32_t build_node(const linalg::Matrix& points,
+                           std::vector<std::uint32_t>& order,
+                           std::size_t begin, std::size_t end,
+                           std::size_t depth);
 
   std::size_t dims_ = 0;
   std::size_t k_ = 3;
   DistanceMetric metric_ = DistanceMetric::kEuclidean;
-  std::size_t padded_ = 0;           ///< point count rounded up to kTile
-  std::vector<double> features_;     ///< [dims_][padded_] feature-major
-  std::vector<double> sq_norms_;     ///< per point: |x|^2 (L2) or |x|_1
-  std::vector<double> tile_min_norm_;  ///< per tile, unsquared norms
-  std::vector<double> tile_max_norm_;
+  std::vector<Node> nodes_;          ///< nodes_[0] is the root
+  std::vector<double> features_;     ///< [dims_][n] feature-major, leaf order
+  std::vector<std::uint32_t> index_;  ///< training index of stored point p
   std::vector<core::ApplicationClass> labels_;
 };
 

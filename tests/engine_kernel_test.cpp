@@ -1,8 +1,9 @@
-// The blocked SoA kernel must agree bit-for-bit with the seed's scalar
+// The k-d tree index must agree bit-for-bit with the seed's scalar
 // query path (preserved as engine::reference_top_k): same distances,
-// same neighbour order, same tie-breaks, for every size around the tile
-// boundary and under both metrics — otherwise threaded classification
-// could drift from the serial baseline.
+// same neighbour order, same tie-breaks, for every size around the leaf
+// size, for degenerate point sets and split-plane queries, and under
+// both metrics — otherwise threaded classification could drift from the
+// serial baseline.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -34,14 +35,16 @@ std::vector<core::ApplicationClass> cycling_labels(std::size_t n) {
   return labels;
 }
 
-void expect_matches_reference(std::size_t n, std::size_t dims, std::size_t k,
-                              DistanceMetric metric, std::uint32_t seed) {
-  const linalg::Matrix points = random_points(n, dims, seed);
+/// Every row of `queries` must come back bit-identical to the reference
+/// scan: same distances, same indices, same order.
+void expect_same_as_reference(const linalg::Matrix& points,
+                              const linalg::Matrix& queries, std::size_t k,
+                              DistanceMetric metric) {
   BlockedKnnIndex index;
-  index.build(points, cycling_labels(n), k, metric);
+  index.build(points, cycling_labels(points.rows()), k, metric);
   BlockedKnnIndex::Scratch scratch;
-
-  const linalg::Matrix queries = random_points(64, dims, seed + 1);
+  const char* const name =
+      metric == DistanceMetric::kManhattan ? "manhattan" : "euclidean";
   for (std::size_t r = 0; r < queries.rows(); ++r) {
     const auto q = queries.row(r);
     const auto hits = index.top_k(q, scratch);
@@ -51,28 +54,52 @@ void expect_matches_reference(std::size_t n, std::size_t dims, std::size_t k,
       // Bit-identical, not approximately equal: both paths must sum the
       // per-feature terms in the same order.
       EXPECT_EQ(hits[i].distance, expected[i].distance)
-          << "n=" << n << " k=" << k << " query=" << r << " rank=" << i;
+          << name << " n=" << points.rows() << " dims=" << points.cols()
+          << " k=" << k << " query=" << r << " rank=" << i;
       EXPECT_EQ(hits[i].index, expected[i].index)
-          << "n=" << n << " k=" << k << " query=" << r << " rank=" << i;
+          << name << " n=" << points.rows() << " dims=" << points.cols()
+          << " k=" << k << " query=" << r << " rank=" << i;
     }
     // hits[0] doubles as the novelty distance: the global minimum.
     EXPECT_EQ(hits[0].distance, expected[0].distance);
   }
 }
 
+void expect_matches_reference(std::size_t n, std::size_t dims, std::size_t k,
+                              DistanceMetric metric, std::uint32_t seed) {
+  expect_same_as_reference(random_points(n, dims, seed),
+                           random_points(64, dims, seed + 1), k, metric);
+}
+
+constexpr DistanceMetric kMetrics[] = {DistanceMetric::kEuclidean,
+                                       DistanceMetric::kManhattan};
+
+/// Each row of `points` with one coordinate at a time moved by `offset`:
+/// a query level with the point on every other axis, so the moved axis
+/// alone decides its distance to the whole run of equal points.
+linalg::Matrix axis_offsets(const linalg::Matrix& points, double offset) {
+  linalg::Matrix out(points.rows() * points.cols(), points.cols());
+  for (std::size_t r = 0; r < points.rows(); ++r)
+    for (std::size_t j = 0; j < points.cols(); ++j)
+      for (std::size_t c = 0; c < points.cols(); ++c)
+        out(r * points.cols() + j, c) =
+            points(r, c) + (c == j ? offset : 0.0);
+  return out;
+}
+
 TEST(EngineKernel, MatchesReferenceAcrossTileBoundaries) {
-  const std::size_t tile = BlockedKnnIndex::kTile;
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{7},
-        tile - 1, tile, tile + 1, 3 * tile, 3 * tile + 5}) {
+        std::size_t{255}, std::size_t{256}, std::size_t{257},
+        std::size_t{768}, std::size_t{773}}) {
     expect_matches_reference(n, 2, 3, DistanceMetric::kEuclidean,
                              static_cast<std::uint32_t>(n));
   }
 }
 
 TEST(EngineKernel, MatchesReferenceUnderManhattan) {
-  const std::size_t tile = BlockedKnnIndex::kTile;
-  for (const std::size_t n : {std::size_t{5}, tile, 2 * tile + 17}) {
+  for (const std::size_t n :
+       {std::size_t{5}, std::size_t{256}, std::size_t{529}}) {
     expect_matches_reference(n, 8, 3, DistanceMetric::kManhattan,
                              static_cast<std::uint32_t>(100 + n));
   }
@@ -112,11 +139,12 @@ TEST(EngineKernel, SelfDistanceIsExactlyZero) {
 
 TEST(EngineKernel, PruningNeverChangesResults) {
   // Two tight clusters very far apart: querying inside one cluster makes
-  // the other cluster's tiles prunable via the norm bounds. The pruned
-  // scan must still return exactly what the reference scan returns.
+  // the other cluster's subtree prunable at the split between them. The
+  // pruned search must still return exactly what the reference scan
+  // returns.
   std::mt19937 rng(99);
   std::normal_distribution<double> noise(0.0, 0.01);
-  const std::size_t half = 2 * BlockedKnnIndex::kTile;
+  const std::size_t half = 512;
   linalg::Matrix points(2 * half, 2);
   for (std::size_t r = 0; r < half; ++r) {
     points(r, 0) = noise(rng);
@@ -198,6 +226,127 @@ TEST(EngineKernel, QueryBlockStridedPathMatchesContiguousPath) {
             << "query=" << i << " rank=" << r;
       }
     }
+  }
+}
+
+TEST(EngineKernel, AllPointsIdenticalReturnLowestIndices) {
+  // One run of 300 equal points: every split value equals every point,
+  // so the search must walk into far children whose bound ties the k-th
+  // distance to find the lowest indices.
+  linalg::Matrix points(300, 2);
+  for (std::size_t r = 0; r < points.rows(); ++r) {
+    points(r, 0) = 1.5;
+    points(r, 1) = -0.25;
+  }
+  // The point itself, the point moved along one axis at a time (level
+  // with the run on the other axis), and a point off both axes.
+  const linalg::Matrix queries{{1.5, -0.25}, {3.5, -0.25}, {-0.5, -0.25},
+                               {1.5, 1.75},  {1.5, -2.25}, {4.0, 7.0}};
+  for (const auto metric : kMetrics) {
+    for (const std::size_t k : {std::size_t{3}, std::size_t{31}}) {
+      expect_same_as_reference(points, queries, k, metric);
+      BlockedKnnIndex index;
+      index.build(points, cycling_labels(points.rows()), k, metric);
+      BlockedKnnIndex::Scratch scratch;
+      for (std::size_t r = 0; r < queries.rows(); ++r) {
+        const auto hits = index.top_k(queries.row(r), scratch);
+        ASSERT_EQ(hits.size(), k);
+        for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(hits[i].index, i);
+      }
+    }
+  }
+}
+
+TEST(EngineKernel, RepeatedLatticeSplitsStraddleEqualValues) {
+  // A 3x3 lattice repeated 40 times: medians fall inside runs of equal
+  // coordinates, so equal split values land in both children, and most
+  // queries tie many points at the k-th distance.
+  linalg::Matrix points(9 * 40, 2);
+  for (std::size_t r = 0; r < points.rows(); ++r) {
+    points(r, 0) = static_cast<double>(r % 3);
+    points(r, 1) = static_cast<double>((r / 3) % 3);
+  }
+  linalg::Matrix lattice(9, 2);
+  for (std::size_t r = 0; r < 9; ++r) {
+    lattice(r, 0) = static_cast<double>(r % 3);
+    lattice(r, 1) = static_cast<double>(r / 3);
+  }
+  for (const auto metric : kMetrics) {
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{3}, std::size_t{41}}) {
+      expect_same_as_reference(points, lattice, k, metric);
+      expect_same_as_reference(points, axis_offsets(lattice, 0.5), k, metric);
+      expect_same_as_reference(points, axis_offsets(lattice, 1.0), k, metric);
+      expect_same_as_reference(points, axis_offsets(lattice, -3.0), k,
+                               metric);
+    }
+  }
+}
+
+TEST(EngineKernel, QueriesOnSplitPlanesMatchReference) {
+  // Every split value is some training point's coordinate on the split
+  // axis, so a query sharing one coordinate with each training point
+  // lies exactly on every split plane of the tree at least once.
+  for (const auto metric : kMetrics) {
+    const linalg::Matrix points = random_points(300, 2, 31);
+    const linalg::Matrix other = random_points(points.rows(), 2, 32);
+    linalg::Matrix queries(2 * points.rows(), 2);
+    for (std::size_t r = 0; r < points.rows(); ++r) {
+      queries(2 * r, 0) = points(r, 0);
+      queries(2 * r, 1) = other(r, 1);
+      queries(2 * r + 1, 0) = other(r, 0);
+      queries(2 * r + 1, 1) = points(r, 1);
+    }
+    expect_same_as_reference(points, queries, 3, metric);
+  }
+}
+
+TEST(EngineKernel, QueriesFarOutsideTheHullMatchReference) {
+  for (const auto metric : kMetrics) {
+    const linalg::Matrix points = random_points(500, 2, 41);
+    linalg::Matrix queries = random_points(64, 2, 42);
+    for (std::size_t r = 0; r < queries.rows(); ++r)
+      for (std::size_t c = 0; c < queries.cols(); ++c)
+        queries(r, c) *= 100.0;
+    expect_same_as_reference(points, queries, 3, metric);
+  }
+}
+
+TEST(EngineKernel, MatchesReferenceAroundTheLeafSize) {
+  for (const auto metric : kMetrics)
+    for (std::size_t n = 1; n <= 40; ++n)
+      expect_matches_reference(n, 2, 3, metric,
+                               static_cast<std::uint32_t>(2000 + n));
+}
+
+TEST(EngineKernel, MatchesReferenceForEveryDimensionUpToEight) {
+  for (const auto metric : kMetrics)
+    for (std::size_t dims = 1; dims <= 8; ++dims)
+      expect_matches_reference(300, dims, 3, metric,
+                               static_cast<std::uint32_t>(3000 + dims));
+}
+
+TEST(EngineKernel, InClusterQueryVisitsFewPoints) {
+  // engine_throughput's training set: 4,096 points in five tight 2-D
+  // clusters. A query at a cluster centre must settle within a few
+  // leaves; a silent fall-back to a full scan would visit all 4,096.
+  const std::size_t n = 4096;
+  std::mt19937 rng(7);
+  std::normal_distribution<double> noise(0.0, 0.35);
+  linalg::Matrix points(n, 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    points(i, 0) = static_cast<double>(i % 5) * 3.0 + noise(rng);
+    points(i, 1) = static_cast<double>((i % 5) % 2) * 3.0 + noise(rng);
+  }
+  BlockedKnnIndex index;
+  index.build(points, cycling_labels(n), 3, DistanceMetric::kEuclidean);
+  BlockedKnnIndex::Scratch scratch;
+  for (std::size_t c = 0; c < 5; ++c) {
+    const std::vector<double> centre{static_cast<double>(c) * 3.0,
+                                     static_cast<double>(c % 2) * 3.0};
+    const std::uint64_t before = scratch.visited_points;
+    index.top_k(centre, scratch);
+    EXPECT_LT(scratch.visited_points - before, n / 8) << "cluster " << c;
   }
 }
 

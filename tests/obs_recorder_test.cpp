@@ -215,7 +215,7 @@ TEST(ObsRecorder, EventsFromExitedThreadsSurvive) {
 TEST(ObsRecorder, ChromeJsonIsStructurallyValid) {
   obs::TraceRecorder recorder;
   recorder.record_span("span \"quoted\" name\n", make_context(7, 8, 0), 100,
-                       50, {{"shard", "0..256"}, {"pruned_tiles", 3}});
+                       50, {{"shard", "0..256"}, {"visited_points", 40}});
   recorder.record_instant("log.line", make_context(7, 9, 8),
                           {{"log", "a=1 b=\"x y\""}});
   recorder.record_span("plain", obs::TraceContext{}, 200, 10, {});
