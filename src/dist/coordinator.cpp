@@ -119,9 +119,7 @@ class Coordinator final : public Component {
         last_parsed_(config_.workers.size()),
         worker_labels_(config_.workers.size() + 1),
         server_({.bind_address = "127.0.0.1",
-                 .port = static_cast<std::uint16_t>(config_.port),
-                 .bind_retries = 4,
-                 .trace_dump_min_interval_ms = 100}),
+                 .port = static_cast<std::uint16_t>(config_.port)}),
         replay_(
             config_.cycles, [this](metrics::Snapshot& s) { return emit(s); },
             [this] { flush_links(); }) {

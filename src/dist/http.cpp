@@ -1,67 +1,89 @@
 #include "dist/http.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
+
+#include "common/net.hpp"
 
 namespace appclass::dist {
 
 namespace {
 
-timeval to_timeval(int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  return tv;
+char to_lower(char c) {
+  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 }
 
-bool send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;  // signal, not failure: retry
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Case-insensitive header search within the raw header block.
-bool headers_contain(std::string_view headers, std::string_view name,
-                     std::string_view value) {
-  std::string lower(headers);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return static_cast<char>(
-                     std::tolower(c)); });
-  std::string needle(name);
-  std::transform(needle.begin(), needle.end(), needle.begin(),
-                 [](unsigned char c) { return static_cast<char>(
-                     std::tolower(c)); });
-  std::size_t pos = 0;
-  while ((pos = lower.find(needle, pos)) != std::string::npos) {
-    // Must start a header line.
-    if (pos != 0 && lower[pos - 1] != '\n') {
-      ++pos;
+/// The value of header `name` in a raw header block, lowercased; the
+/// name matches in any case (RFC 9110). nullopt when absent.
+std::optional<std::string> header_value(std::string_view headers,
+                                        std::string_view name) {
+  std::size_t at = 0;
+  while (at < headers.size()) {
+    const std::size_t eol =
+        std::min(headers.find("\r\n", at), headers.size());
+    const std::string_view line = headers.substr(at, eol - at);
+    at = eol + 2;
+    if (line.size() <= name.size() || line[name.size()] != ':' ||
+        !std::equal(name.begin(), name.end(), line.begin(),
+                    [](char a, char b) { return to_lower(a) == to_lower(b); }))
       continue;
-    }
-    const std::size_t line_end = lower.find('\n', pos);
-    const std::string_view line(lower.data() + pos,
-                                (line_end == std::string::npos
-                                     ? lower.size()
-                                     : line_end) -
-                                    pos);
-    if (line.find(value) != std::string_view::npos) return true;
-    pos += needle.size();
+    std::string value(line.substr(name.size() + 1));
+    std::transform(value.begin(), value.end(), value.begin(), to_lower);
+    return value;
   }
-  return false;
+  return std::nullopt;
+}
+
+/// Sends the request on a connected socket and reads the response to
+/// EOF (Connection: close) under the byte cap, filling `result`.
+HttpError exchange(int fd, const std::string& request,
+                   const HttpGetOptions& options, HttpResult& result) {
+  if (common::send_all(fd, request.data(), request.size()) != 0)
+    return HttpError::kTimeout;
+  std::string response;
+  char buffer[4096];
+  std::size_t headers_end = std::string::npos;
+  std::size_t content_length = std::string::npos;  // none announced
+  for (;;) {
+    const ssize_t n = common::recv_some(fd, buffer, sizeof buffer);
+    // EAGAIN/EWOULDBLOCK here means the SO_RCVTIMEO budget expired.
+    if (n < 0)
+      return errno == EAGAIN || errno == EWOULDBLOCK ? HttpError::kTimeout
+                                                     : HttpError::kConnect;
+    if (n == 0) break;
+    if (response.size() + static_cast<std::size_t>(n) >
+        options.max_response_bytes)
+      return HttpError::kTooLarge;
+    response.append(buffer, static_cast<std::size_t>(n));
+    if (headers_end != std::string::npos) continue;
+    headers_end = response.find("\r\n\r\n");
+    if (headers_end == std::string::npos) continue;
+    const std::string_view headers(response.data(), headers_end);
+    const auto encoding = header_value(headers, "transfer-encoding");
+    if (encoding && encoding->find("chunked") != std::string::npos)
+      return HttpError::kChunked;
+    // Reject an announced oversize body before draining it.
+    if (const auto length = header_value(headers, "content-length")) {
+      content_length = std::strtoull(length->c_str(), nullptr, 10);
+      if (content_length > options.max_response_bytes)
+        return HttpError::kTooLarge;
+    }
+  }
+  // Status line: HTTP/1.x NNN ...
+  if (headers_end == std::string::npos || response.rfind("HTTP/1.", 0) != 0 ||
+      response.size() < 12)
+    return HttpError::kProtocol;
+  result.status = std::atoi(response.c_str() + 9);
+  // A peer that closed short of its announced length (a worker killed
+  // mid-response) sent a truncated body: never hand it to a merge.
+  if (content_length != std::string::npos &&
+      response.size() - (headers_end + 4) < content_length)
+    return HttpError::kProtocol;
+  result.body = response.substr(headers_end + 4);
+  return result.status == 200 ? HttpError::kOk : HttpError::kStatus;
 }
 
 }  // namespace
@@ -83,97 +105,13 @@ HttpResult http_get_ex(const std::string& host, std::uint16_t port,
                        const std::string& path,
                        const HttpGetOptions& options) {
   HttpResult result;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = common::connect_tcp(host, port, options.timeout_ms);
   if (fd < 0) return result;  // kConnect
-
-  const timeval tv = to_timeval(options.timeout_ms);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return result;  // kConnect
-  }
-
   const std::string request = "GET " + path +
                               " HTTP/1.1\r\nHost: " + host +
                               "\r\nConnection: close\r\n\r\n";
-  if (!send_all(fd, request.data(), request.size())) {
-    ::close(fd);
-    result.error = HttpError::kTimeout;
-    return result;
-  }
-
-  // Connection: close — read to EOF under the byte cap, then split
-  // headers from body. A Content-Length that already exceeds the cap
-  // aborts mid-stream instead of buffering the excess first.
-  std::string response;
-  char buffer[4096];
-  std::size_t headers_end = std::string::npos;
-  bool checked_headers = false;
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;  // signal, not failure: retry
-      ::close(fd);
-      // EAGAIN/EWOULDBLOCK here means the SO_RCVTIMEO budget expired.
-      result.error = (errno == EAGAIN || errno == EWOULDBLOCK)
-                         ? HttpError::kTimeout
-                         : HttpError::kConnect;
-      return result;
-    }
-    if (n == 0) break;
-    if (response.size() + static_cast<std::size_t>(n) >
-        options.max_response_bytes) {
-      ::close(fd);
-      result.error = HttpError::kTooLarge;
-      return result;
-    }
-    response.append(buffer, static_cast<std::size_t>(n));
-    if (!checked_headers) {
-      headers_end = response.find("\r\n\r\n");
-      if (headers_end != std::string::npos) {
-        checked_headers = true;
-        const std::string_view headers(response.data(), headers_end);
-        if (headers_contain(headers, "transfer-encoding", "chunked")) {
-          ::close(fd);
-          result.error = HttpError::kChunked;
-          return result;
-        }
-        // Reject an announced oversize body before draining it.
-        const std::size_t cl = std::string(headers).find("Content-Length:");
-        if (cl != std::string::npos) {
-          const unsigned long long announced =
-              std::strtoull(response.c_str() + cl + 15, nullptr, 10);
-          if (announced > options.max_response_bytes) {
-            ::close(fd);
-            result.error = HttpError::kTooLarge;
-            return result;
-          }
-        }
-      }
-    }
-  }
+  result.error = exchange(fd, request, options, result);
   ::close(fd);
-
-  if (headers_end == std::string::npos) {
-    result.error = HttpError::kProtocol;
-    return result;
-  }
-  // Status line: HTTP/1.x NNN ...
-  if (response.rfind("HTTP/1.", 0) != 0 || response.size() < 12) {
-    result.error = HttpError::kProtocol;
-    return result;
-  }
-  result.status = std::atoi(response.c_str() + 9);
-  result.body = response.substr(headers_end + 4);
-  result.error =
-      result.status == 200 ? HttpError::kOk : HttpError::kStatus;
   return result;
 }
 

@@ -33,8 +33,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
 
+#include "common/net.hpp"
 #include "metrics/snapshot.hpp"
 #include "obs/metrics.hpp"
 
@@ -47,12 +47,6 @@ struct IngestListenerOptions {
   /// Grid predicate parameter: frames whose time is not a multiple of
   /// this are protocol errors (see header comment).
   int sampling_interval_s = 5;
-  /// Socket receive timeout; a wedged peer cannot hold the thread
-  /// forever, it just cycles back to accept().
-  int read_timeout_ms = 2000;
-  /// bind() retries with doubling backoff (restart-over-dying-socket).
-  int bind_retries = 4;
-  int bind_retry_initial_ms = 100;
 };
 
 class IngestListener {
@@ -67,15 +61,17 @@ class IngestListener {
   IngestListener(const IngestListener&) = delete;
   IngestListener& operator=(const IngestListener&) = delete;
 
-  /// Binds, listens, and launches the accept thread. False (with an
-  /// ERROR log) when the socket cannot be bound.
+  /// Binds (on common::TcpServer's retry schedule), listens, and
+  /// launches the accept thread. False (with an ERROR log) when the
+  /// socket cannot be bound.
   bool start();
 
-  /// Stops accepting, closes sockets, joins. Idempotent.
+  /// Stops accepting, cuts off the connection in progress, joins.
+  /// Idempotent.
   void stop();
 
   /// The bound port (resolves port 0 requests); 0 before start().
-  std::uint16_t port() const noexcept { return port_; }
+  std::uint16_t port() const noexcept { return server_.port(); }
 
   /// Next sequence number the listener will accept (== frames durably
   /// ingested when started at 0).
@@ -94,7 +90,6 @@ class IngestListener {
   }
 
  private:
-  void accept_loop();
   void handle_connection(int fd);
 
   IngestListenerOptions options_;
@@ -107,14 +102,10 @@ class IngestListener {
   obs::Counter& connections_total_;
   obs::Histogram& e2e_ingest_hist_;
   std::atomic<std::uint64_t> expected_;
-  int listen_fd_ = -1;
-  std::atomic<int> conn_fd_{-1};
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> duplicates_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> connections_{0};
-  std::thread thread_;
+  common::TcpServer server_;  // last: its thread uses the above
 };
 
 }  // namespace appclass::dist

@@ -1,11 +1,5 @@
 #include "dist/link.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <cerrno>
@@ -13,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/net.hpp"
 #include "dist/wire.hpp"
 #include "obs/cardinality.hpp"
 #include "obs/log.hpp"
@@ -21,13 +16,6 @@
 namespace appclass::dist {
 
 namespace {
-
-timeval to_timeval(int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  return tv;
-}
 
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -87,40 +75,15 @@ bool WorkerLink::ensure_connected() {
     }
     first_attempt = false;
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = common::connect_tcp(host_, port_, options_.io_timeout_ms);
     if (fd < 0) continue;
-    const timeval tv = to_timeval(options_.io_timeout_ms);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port_);
-    if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) != 0) {
-      ::close(fd);
-      continue;
-    }
 
     // The hello is the worker's durable horizon; everything the resume
     // logic needs arrives in this one message.
     std::uint8_t raw[kHelloBytes];
-    std::size_t got = 0;
-    bool ok = true;
-    while (got < kHelloBytes) {
-      const ssize_t n = ::recv(fd, raw + got, kHelloBytes - got, 0);
-      if (n < 0 && errno == EINTR) continue;  // signal, not failure: retry
-      if (n <= 0) {
-        ok = false;
-        break;
-      }
-      got += static_cast<std::size_t>(n);
-    }
     Hello hello;
-    if (!ok || decode_hello({raw, kHelloBytes}, hello) != DecodeStatus::kOk) {
+    if (common::recv_exact(fd, raw, kHelloBytes) != 0 ||
+        decode_hello({raw, kHelloBytes}, hello) != DecodeStatus::kOk) {
       ::close(fd);
       continue;
     }
@@ -151,7 +114,8 @@ bool WorkerLink::ensure_connected() {
       bool resent_ok = true;
       for (Pending& pending : unacked_) {
         pending.sent_steady_us = steady_now_us();
-        if (!write_bytes(pending.bytes)) {
+        if (common::send_all(fd_, pending.bytes.data(),
+                             pending.bytes.size()) != 0) {
           resent_ok = false;
           break;
         }
@@ -170,18 +134,6 @@ bool WorkerLink::ensure_connected() {
     return true;
   }
   return false;
-}
-
-bool WorkerLink::write_bytes(const std::vector<std::uint8_t>& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;  // signal, not failure: retry
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 void WorkerLink::retire_front(bool acked_on_wire) {
@@ -225,14 +177,11 @@ void WorkerLink::read_acks(int fd) {
   bool ok = true;
   try {
     while (ok) {
-      const ssize_t n =
-          ::recv(fd, buffer.data() + filled, buffer.size() - filled, 0);
-      // A signal, or the receive timeout of a link with nothing in
-      // flight: the waits in send() and flush() bound how long an ack
-      // may take.
-      if (n < 0 &&
-          (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
-        continue;
+      const ssize_t n = common::recv_some(fd, buffer.data() + filled,
+                                          buffer.size() - filled);
+      // The receive timeout of a link with nothing in flight: the waits
+      // in send() and flush() bound how long an ack may take.
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
       if (n <= 0) break;  // EOF, socket error, or disconnect()'s shutdown
       filled += static_cast<std::size_t>(n);
       const std::size_t whole = filled - filled % kAckBytes;
@@ -305,7 +254,8 @@ bool WorkerLink::send(const metrics::Snapshot& snapshot,
     unacked_.push_back(std::move(pending));
     in_flight_.store(unacked_.size(), std::memory_order_relaxed);
     horizon_lag_gauge_.set(static_cast<double>(unacked_.size()));
-    written = write_bytes(unacked_.back().bytes);
+    const std::vector<std::uint8_t>& bytes = unacked_.back().bytes;
+    written = common::send_all(fd_, bytes.data(), bytes.size()) == 0;
   }
   // A failed write leaves the frame in unacked_; the reconnect in the
   // next call resends it. The frame is committed either way.

@@ -121,7 +121,6 @@ class WorkerLink {
   /// Stops the reader (shutdown wakes its recv), joins it, then closes.
   void disconnect();
   bool stop_requested() const;
-  bool write_bytes(const std::vector<std::uint8_t>& bytes);
   /// Connects if needed and waits until fewer than `bound` frames are
   /// unacked; false only when the stop predicate fired first.
   bool await_acks(std::size_t bound);

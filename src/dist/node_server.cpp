@@ -73,12 +73,7 @@ class NodeServer final : public Component {
         health_(core::make_health_options(
             static_cast<std::size_t>(config_.drift_window))),
         server_({.bind_address = "127.0.0.1",
-                 .port = static_cast<std::uint16_t>(config_.port),
-                 // A restarted worker may race its predecessor's socket.
-                 .bind_retries = 4,
-                 // Trace dumps walk every thread ring under locks; a
-                 // scrape loop on /traces/recent must not stall recording.
-                 .trace_dump_min_interval_ms = 100}) {
+                 .port = static_cast<std::uint16_t>(config_.port)}) {
     // Model-health aggregator: fed by every drained snapshot, read by the
     // scorecard routes, /healthz, and the --stats-every ticker. Labels
     // are identical with or without it. Attached before recovery so WAL
@@ -254,8 +249,7 @@ bool NodeServer::start() {
     listener_.emplace(
         dist::IngestListenerOptions{
             .port = static_cast<std::uint16_t>(config_.ingest_port),
-            .sampling_interval_s = config_.online.sampling_interval_s,
-            .bind_retries = 4},
+            .sampling_interval_s = config_.online.sampling_interval_s},
         [this](const metrics::Snapshot& snapshot) {
           return stream_.push(snapshot);
         },

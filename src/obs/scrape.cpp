@@ -1,18 +1,8 @@
 #include "obs/scrape.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <thread>
 
+#include "common/net.hpp"
 #include "obs/export.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -27,7 +17,7 @@ std::string read_request(int fd, std::size_t max_bytes) {
   std::string request;
   char buffer[1024];
   while (request.size() < max_bytes) {
-    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+    const ssize_t n = common::recv_some(fd, buffer, sizeof buffer);
     if (n <= 0) break;
     request.append(buffer, static_cast<std::size_t>(n));
     if (request.find("\r\n\r\n") != std::string::npos) break;
@@ -35,36 +25,21 @@ std::string read_request(int fd, std::size_t max_bytes) {
   return request;
 }
 
-timeval to_timeval(int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  return tv;
-}
-
-void send_all(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return;
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
+/// Head and body leave in one send_all: two writes would put the body
+/// behind a small head segment. A failed send is the client's loss only.
 void send_response(int fd, std::string_view status,
                    std::string_view content_type, std::string_view body) {
-  std::string head;
-  head.reserve(160);
-  head.append("HTTP/1.1 ");
-  head.append(status);
-  head.append("\r\nContent-Type: ");
-  head.append(content_type);
-  head.append("\r\nContent-Length: ");
-  head.append(std::to_string(body.size()));
-  head.append("\r\nConnection: close\r\n\r\n");
-  send_all(fd, head);
-  send_all(fd, body);
+  std::string response;
+  response.reserve(160 + body.size());
+  response.append("HTTP/1.1 ");
+  response.append(status);
+  response.append("\r\nContent-Type: ");
+  response.append(content_type);
+  response.append("\r\nContent-Length: ");
+  response.append(std::to_string(body.size()));
+  response.append("\r\nConnection: close\r\n\r\n");
+  response.append(body);
+  (void)common::send_all(fd, response.data(), response.size());
 }
 
 struct RequestLine {
@@ -130,160 +105,85 @@ ScrapeServer::~ScrapeServer() { stop(); }
 
 bool ScrapeServer::start() {
   if (running()) return true;
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    APPCLASS_LOG_ERROR("scrape.socket_failed", {"errno", errno});
+  if (const int error = server_.start(options_.bind_address, options_.port,
+                                      [this](int fd) { serve(fd); })) {
+    APPCLASS_LOG_ERROR("scrape.bind_failed", {"errno", error},
+                       {"address", options_.bind_address},
+                       {"port", options_.port});
     return false;
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    APPCLASS_LOG_ERROR("scrape.bad_address",
-                       {"address", options_.bind_address});
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  // Bind with bounded retries: a restarted worker often races its dead
-  // predecessor's socket lingering in TIME_WAIT / not-yet-reaped, and a
-  // short backoff loop reclaims the port without operator intervention.
-  int backoff_ms = options_.bind_retry_initial_ms;
-  bool listening = false;
-  for (int attempt = 0; attempt <= options_.bind_retries; ++attempt) {
-    if (attempt > 0) {
-      APPCLASS_LOG_WARN("scrape.bind_retry", {"attempt", attempt},
-                        {"port", options_.port}, {"backoff_ms", backoff_ms});
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, 2000);
-    }
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
-            0 &&
-        ::listen(listen_fd_, 16) == 0) {
-      listening = true;
-      break;
-    }
-  }
-  if (!listening) {
-    APPCLASS_LOG_ERROR("scrape.bind_failed", {"errno", errno},
-                       {"port", options_.port},
-                       {"attempts", options_.bind_retries + 1});
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &len) == 0)
-    port_ = ntohs(bound.sin_port);
-
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { serve_loop(); });
   APPCLASS_LOG_INFO("scrape.started", {"address", options_.bind_address},
-                    {"port", port_});
+                    {"port", port()});
   return true;
 }
 
 void ScrapeServer::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  // Unblock accept(): shutdown makes the blocked call return, close
-  // releases the port.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
-  APPCLASS_LOG_INFO("scrape.stopped", {"port", port_});
+  if (server_.stop()) APPCLASS_LOG_INFO("scrape.stopped", {"port", port()});
 }
 
-void ScrapeServer::serve_loop() {
+void ScrapeServer::serve(int fd) {
   auto& registry = MetricsRegistry::global();
+  const std::string raw = read_request(fd, options_.max_request_bytes);
+  // The cap was hit without a complete header block: refuse rather
+  // than buffer an unbounded header stream.
+  if (raw.size() >= options_.max_request_bytes &&
+      raw.find("\r\n\r\n") == std::string::npos) {
+    send_response(fd, "431 Request Header Fields Too Large", "text/plain",
+                  "request too large\n");
+    return;
+  }
+  const RequestLine request = parse_request_line(raw);
+  route_counter(request.path).inc();
 
-  while (running()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running()) break;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    const timeval rcv = to_timeval(options_.read_timeout_ms);
-    const timeval snd = to_timeval(options_.write_timeout_ms);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv, sizeof rcv);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
-
-    const std::string raw = read_request(fd, options_.max_request_bytes);
-    // The cap was hit without a complete header block: refuse rather
-    // than buffer an unbounded header stream.
-    if (raw.size() >= options_.max_request_bytes &&
-        raw.find("\r\n\r\n") == std::string::npos) {
-      send_response(fd, "431 Request Header Fields Too Large", "text/plain",
-                    "request too large\n");
-      ::close(fd);
-      continue;
-    }
-    const RequestLine request = parse_request_line(raw);
-    route_counter(request.path).inc();
-
-    if (request.method != "GET") {
-      send_response(fd, "405 Method Not Allowed", "text/plain",
-                    "method not allowed\n");
-    } else if (request.path == "/metrics") {
-      send_response(fd, "200 OK",
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    to_prometheus(registry.snapshot()));
-    } else if (request.path == "/healthz") {
-      if (!health_check_) {
-        send_response(fd, "200 OK", "text/plain", "ok\n");
-      } else {
-        const HealthVerdict verdict = health_check_();
-        const std::string_view body =
-            !verdict.body.empty()
-                ? std::string_view(verdict.body)
-                : verdict.healthy
-                      ? std::string_view("{\"status\":\"ok\"}")
-                      : std::string_view("{\"status\":\"degraded\"}");
-        send_response(fd,
-                      verdict.healthy ? "200 OK" : "503 Service Unavailable",
-                      "application/json", body);
-      }
-    } else if (request.path == "/traces/recent") {
-      // Dumping serializes every thread ring; bound both the response
-      // size and the dump rate so the trace route cannot be used (or
-      // misused) to stall recording threads or flood the wire.
-      const std::int64_t now_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count();
-      const std::int64_t last =
-          last_trace_dump_ms_.load(std::memory_order_relaxed);
-      if (options_.trace_dump_min_interval_ms > 0 && last >= 0 &&
-          now_ms - last < options_.trace_dump_min_interval_ms) {
-        registry.counter("appclass_scrape_trace_throttled_total").inc();
-        send_response(fd, "429 Too Many Requests", "text/plain",
-                      "trace dump rate limited\n");
-      } else {
-        last_trace_dump_ms_.store(now_ms, std::memory_order_relaxed);
-        send_response(fd, "200 OK", "application/json",
-                      TraceRecorder::global().to_chrome_json(
-                          options_.max_trace_response_bytes));
-      }
-    } else if (const auto it = routes_.find(request.path);
-               it != routes_.end()) {
-      send_response(fd, "200 OK", it->second.content_type,
-                    it->second.handler());
+  if (request.method != "GET") {
+    send_response(fd, "405 Method Not Allowed", "text/plain",
+                  "method not allowed\n");
+  } else if (request.path == "/metrics") {
+    send_response(fd, "200 OK",
+                  "text/plain; version=0.0.4; charset=utf-8",
+                  to_prometheus(registry.snapshot()));
+  } else if (request.path == "/healthz") {
+    if (!health_check_) {
+      send_response(fd, "200 OK", "text/plain", "ok\n");
     } else {
-      send_response(fd, "404 Not Found", "text/plain", "not found\n");
+      const HealthVerdict verdict = health_check_();
+      const std::string_view body =
+          !verdict.body.empty()
+              ? std::string_view(verdict.body)
+              : verdict.healthy
+                    ? std::string_view("{\"status\":\"ok\"}")
+                    : std::string_view("{\"status\":\"degraded\"}");
+      send_response(fd,
+                    verdict.healthy ? "200 OK" : "503 Service Unavailable",
+                    "application/json", body);
     }
-    ::close(fd);
+  } else if (request.path == "/traces/recent") {
+    // Dumping serializes every thread ring; bound both the response
+    // size and the dump rate so the trace route cannot be used (or
+    // misused) to stall recording threads or flood the wire.
+    const std::int64_t now_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    const std::int64_t last =
+        last_trace_dump_ms_.load(std::memory_order_relaxed);
+    if (options_.trace_dump_min_interval_ms > 0 && last >= 0 &&
+        now_ms - last < options_.trace_dump_min_interval_ms) {
+      registry.counter("appclass_scrape_trace_throttled_total").inc();
+      send_response(fd, "429 Too Many Requests", "text/plain",
+                    "trace dump rate limited\n");
+    } else {
+      last_trace_dump_ms_.store(now_ms, std::memory_order_relaxed);
+      send_response(fd, "200 OK", "application/json",
+                    TraceRecorder::global().to_chrome_json(
+                        options_.max_trace_response_bytes));
+    }
+  } else if (const auto it = routes_.find(request.path);
+             it != routes_.end()) {
+    send_response(fd, "200 OK", it->second.content_type,
+                  it->second.handler());
+  } else {
+    send_response(fd, "404 Not Found", "text/plain", "not found\n");
   }
 }
 

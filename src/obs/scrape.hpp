@@ -15,9 +15,9 @@
 // into "503 Service Unavailable" with a JSON reason body, so a liveness
 // prober notices a classifier that is up but abstaining.
 //
-// One accept thread serves requests sequentially over plain POSIX
-// sockets — a deliberate non-framework design: scrapes are rare (every
-// few seconds), tiny, and read-only, so a single blocking loop with a
+// One accept thread (a common::TcpServer) serves requests sequentially —
+// a deliberate non-framework design: scrapes are rare (every few
+// seconds), tiny, and read-only, so a single blocking loop with a
 // receive timeout is simpler and easier to audit than a connection pool.
 // The server never touches classification state; it only reads the
 // MetricsRegistry / TraceRecorder snapshots and the registered handlers,
@@ -29,8 +29,8 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <thread>
 
+#include "common/net.hpp"
 #include "obs/cardinality.hpp"
 #include "obs/metrics.hpp"
 
@@ -40,18 +40,9 @@ struct ScrapeServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back with port() after start().
   std::uint16_t port = 0;
-  /// Per-connection socket timeouts: a client that stops reading or
-  /// writing cannot wedge the accept thread past these.
-  int read_timeout_ms = 2000;
-  int write_timeout_ms = 2000;
   /// Requests larger than this (without a complete header block) are
   /// answered 431 and closed instead of buffered without bound.
   std::size_t max_request_bytes = 8 * 1024;
-  /// bind() attempts beyond the first, with exponential backoff starting
-  /// at bind_retry_initial_ms (doubling, capped at 2 s per wait). Lets a
-  /// restarted worker reclaim a port still held by its dead predecessor.
-  int bind_retries = 0;
-  int bind_retry_initial_ms = 100;
   /// Byte cap on the /traces/recent response: the flight recorder keeps
   /// up to capacity * threads events, and an unbounded dump over a slow
   /// connection would wedge the accept thread. The oldest events drop
@@ -63,7 +54,7 @@ struct ScrapeServerOptions {
   /// every thread ring under its locks, so a scrape loop pointed at the
   /// trace route by mistake must not become a recording stall. 0 = no
   /// limit.
-  int trace_dump_min_interval_ms = 0;
+  int trace_dump_min_interval_ms = 100;
 };
 
 /// Verdict of an installed health check (see set_health_check()).
@@ -92,20 +83,19 @@ class ScrapeServer {
   /// unconditional "ok"). Must be called before start().
   void set_health_check(std::function<HealthVerdict()> check);
 
-  /// Binds, listens, and launches the accept thread. False (with an
-  /// ERROR log) when the socket cannot be bound.
+  /// Binds (on common::TcpServer's retry schedule), listens, and
+  /// launches the accept thread. False (with an ERROR log) when the
+  /// socket cannot be bound.
   bool start();
 
-  /// Stops accepting, closes the listen socket, and joins the accept
-  /// thread. Idempotent; also run by the destructor.
+  /// Stops accepting, cuts off the request in progress, and joins the
+  /// accept thread. Idempotent; also run by the destructor.
   void stop();
 
-  bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
+  bool running() const noexcept { return server_.running(); }
 
   /// The bound port (resolves port 0 requests); 0 before start().
-  std::uint16_t port() const noexcept { return port_; }
+  std::uint16_t port() const noexcept { return server_.port(); }
 
  private:
   struct Route {
@@ -113,7 +103,7 @@ class ScrapeServer {
     std::function<std::string()> handler;
   };
 
-  void serve_loop();
+  void serve(int fd);
   Counter& route_counter(const std::string& path);
 
   /// Monotonic ms of the last served /traces/recent dump (accept-thread
@@ -126,10 +116,7 @@ class ScrapeServer {
   /// Bounded request-counter labels: built-ins + registered routes keep
   /// their own series, arbitrary request targets collapse to "other".
   BoundedLabelSet path_labels_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread thread_;
+  common::TcpServer server_;  // last: its thread serves from the above
 };
 
 }  // namespace appclass::obs

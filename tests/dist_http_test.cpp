@@ -109,14 +109,25 @@ TEST(DistHttpTest, ResponseOverCapIsTooLarge) {
 
 TEST(DistHttpTest, AnnouncedOversizeBodyRejectedBeforeDraining) {
   // Content-Length alone exceeds the cap: the client must abort on the
-  // headers, not buffer gigabytes first.
-  CannedServer server(
-      "HTTP/1.1 200 OK\r\nContent-Length: 999999999\r\n\r\nstart");
-  HttpGetOptions options;
-  options.max_response_bytes = 1024;
-  const HttpResult result =
-      http_get_ex("127.0.0.1", server.port(), "/x", options);
-  EXPECT_EQ(result.error, HttpError::kTooLarge);
+  // headers, not buffer gigabytes first. Header names match in any case.
+  for (const char* header : {"Content-Length", "content-length"}) {
+    CannedServer server(std::string("HTTP/1.1 200 OK\r\n") + header +
+                        ": 999999999\r\n\r\nstart");
+    HttpGetOptions options;
+    options.max_response_bytes = 1024;
+    const HttpResult result =
+        http_get_ex("127.0.0.1", server.port(), "/x", options);
+    EXPECT_EQ(result.error, HttpError::kTooLarge) << header;
+  }
+}
+
+TEST(DistHttpTest, BodyShorterThanContentLengthIsProtocolError) {
+  // The peer closes after 5 of 10 announced bytes (a worker killed
+  // mid-response): the truncated body must not reach a merge.
+  CannedServer server("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello");
+  const HttpResult result = http_get_ex("127.0.0.1", server.port(), "/x");
+  EXPECT_EQ(result.error, HttpError::kProtocol);
+  EXPECT_TRUE(result.body.empty());
 }
 
 TEST(DistHttpTest, ChunkedTransferEncodingIsRejectedNotMisparsed) {

@@ -25,20 +25,27 @@
 namespace appclass {
 namespace {
 
-/// Blocking one-shot HTTP client: sends `request_line` + empty header
-/// block to 127.0.0.1:port and returns the whole response.
-std::string http_request(std::uint16_t port,
-                         const std::string& request_line) {
+/// A blocking client socket connected to 127.0.0.1:port, or -1.
+int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
+  return fd;
+}
+
+/// Blocking one-shot HTTP client: sends `request_line` + empty header
+/// block to 127.0.0.1:port and returns the whole response.
+std::string http_request(std::uint16_t port,
+                         const std::string& request_line) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return {};
   const std::string request =
       request_line + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   ::send(fd, request.data(), request.size(), 0);
@@ -246,6 +253,23 @@ TEST(ObsScrapeLifecycle, StopIsIdempotentAndPortIsReusable) {
   second.stop();
 }
 
+TEST(ObsScrapeLifecycle, StopDoesNotWaitOutAnIdleClient) {
+  obs::ScrapeServer server;
+  ASSERT_TRUE(server.start());
+  // A client that connects and sends nothing parks the accept thread in
+  // its request read, which only the 2 s receive timeout would end.
+  const int idle = connect_loopback(server.port());
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto begin = std::chrono::steady_clock::now();
+  server.stop();
+  const auto took = std::chrono::steady_clock::now() - begin;
+  ::close(idle);
+  EXPECT_FALSE(server.running());
+  EXPECT_LT(took, std::chrono::milliseconds(500));
+}
+
 TEST(ObsScrapeHardening, OversizedRequestIsRefusedWith431) {
   obs::ScrapeServer server({.max_request_bytes = 512});
   ASSERT_TRUE(server.start());
@@ -319,20 +343,14 @@ TEST(ObsScrapeHardening, BindRetryClaimsPortReleasedDuringBackoff) {
   ASSERT_TRUE(holder.start());
   const std::uint16_t port = holder.port();
 
-  // Without retries the occupied port is an immediate failure.
-  obs::ScrapeServer impatient({.bind_address = "127.0.0.1", .port = port});
-  EXPECT_FALSE(impatient.start());
-
-  // With retries, the port freeing up mid-backoff lets start() succeed —
-  // the restarted-worker-reclaims-port scenario.
+  // The port freeing up at 60 ms, before the first retry at 100 ms on
+  // the fixed bind schedule, lets start() succeed — the
+  // restarted-worker-reclaims-port scenario.
   std::thread releaser([&holder] {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
     holder.stop();
   });
-  obs::ScrapeServer patient({.bind_address = "127.0.0.1",
-                             .port = port,
-                             .bind_retries = 8,
-                             .bind_retry_initial_ms = 25});
+  obs::ScrapeServer patient({.bind_address = "127.0.0.1", .port = port});
   EXPECT_TRUE(patient.start());
   releaser.join();
   patient.stop();
