@@ -53,6 +53,11 @@ OnlineClassifier::OnlineClassifier(const ClassificationPipeline& pipeline,
                    options.min_coverage <= 1.0);
 }
 
+void OnlineClassifier::attach_health(obs::ModelHealth* health) noexcept {
+  health_ = health;
+  for (auto& [ip, node] : nodes_) node.health = {};
+}
+
 void OnlineClassifier::refresh_window(NodeState& node, metrics::SimTime now) {
   const metrics::SimTime horizon =
       static_cast<metrics::SimTime>(options_.window - 1) *
@@ -157,8 +162,8 @@ void OnlineClassifier::ingest_impl(const metrics::Snapshot& snapshot,
   // window too): strictly observational, never feeds back into the label
   // or window state below.
   if (health_ != nullptr) {
+    if (!node.health) node.health = health_->resolve(snapshot.node_ip);
     obs::HealthSample sample;
-    sample.node_ip = snapshot.node_ip;
     sample.class_index = index_of(label);
     sample.coverage = node.coverage;
     sample.degraded = abstain;
@@ -170,7 +175,7 @@ void OnlineClassifier::ingest_impl(const metrics::Snapshot& snapshot,
                      detail->novelty > pipeline_.novelty_threshold();
       sample.projected = detail->projected;
     }
-    health_->record(sample);
+    health_->record(sample, node.health);
   }
 
   // Coverage-aware abstention: with too few valid samples in the window

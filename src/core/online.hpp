@@ -115,7 +115,9 @@ class OnlineClassifier {
   /// Attaches a model-health aggregator (nullptr detaches; not owned).
   /// Health recording is strictly observational: labels, window state,
   /// and behaviour-change events are bit-identical with or without it.
-  void attach_health(obs::ModelHealth* health) noexcept { health_ = health; }
+  /// Drops every node's cached health handle (a walk over the nodes);
+  /// each node resolves its card again at its next ingest.
+  void attach_health(obs::ModelHealth* health) noexcept;
   obs::ModelHealth* health() const noexcept { return health_; }
 
   /// Called whenever a node's debounced dominant class changes.
@@ -154,7 +156,8 @@ class OnlineClassifier {
   /// Replaces all mutable state with `image` (inverse of export_state).
   /// The pipeline and options are NOT part of the image — the caller must
   /// reconstruct the classifier under the same ones for recovered
-  /// classifications to be meaningful.
+  /// classifications to be meaningful. The rebuilt nodes hold no health
+  /// handle; each resolves its card again at its next ingest.
   void import_state(const OnlineStateImage& image);
 
  private:
@@ -227,6 +230,9 @@ class OnlineClassifier {
     std::size_t candidate_streak = 0;
     metrics::SimTime first_time = 0;
     double coverage = 1.0;
+    /// This node's card in health_, resolved at its first ingest under
+    /// that aggregator; not part of the exported state.
+    obs::ModelHealth::NodeHandle health;
   };
 
   /// Drops window entries older than the window's time horizon and

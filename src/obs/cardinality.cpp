@@ -11,7 +11,9 @@ const std::string& BoundedLabelSet::admit(std::string_view value) {
   if (it != values_.end()) return *it;
   if (values_.size() < max_values_)
     return *values_.emplace(value).first;
-  overflow_seen_.emplace(value);
+  // Look up before inserting: emplace() builds a tree node before it
+  // finds the duplicate, so a repeated overflow value would allocate.
+  if (!overflow_seen_.contains(value)) overflow_seen_.emplace(value);
   return overflow_;
 }
 

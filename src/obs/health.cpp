@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/assert.hpp"
 #include "obs/export.hpp"
 #include "obs/log.hpp"
 
@@ -92,7 +93,17 @@ ModelHealth::NodeStats& ModelHealth::node_stats_locked(
   return node;
 }
 
+ModelHealth::NodeHandle ModelHealth::resolve(std::string_view node_ip) {
+  const std::lock_guard lock(mutex_);
+  return NodeHandle(&node_stats_locked(node_ip));
+}
+
 void ModelHealth::record(const HealthSample& sample) {
+  record(sample, resolve(sample.node_ip));
+}
+
+void ModelHealth::record(const HealthSample& sample, NodeHandle handle) {
+  APPCLASS_EXPECTS(handle);
   const std::lock_guard lock(mutex_);
   ++samples_;
 
@@ -131,7 +142,7 @@ void ModelHealth::record(const HealthSample& sample) {
                             static_cast<double>(novel_size_));
 
   // Per-node scorecard (bounded: top-K exact, the rest into "other").
-  NodeStats& node = node_stats_locked(sample.node_ip);
+  NodeStats& node = *handle.stats_;
   ++node.samples;
   if (sample.class_index < node.per_class.size())
     ++node.per_class[sample.class_index];
@@ -141,10 +152,11 @@ void ModelHealth::record(const HealthSample& sample) {
   const bool was_degraded = node.degraded;
   node.degraded = sample.degraded;
   if (node.degraded != was_degraded) {
-    std::size_t degraded = other_.degraded ? 1u : 0u;
-    for (const auto& [name, n] : nodes_)
-      if (n.degraded) ++degraded;
-    degraded_nodes_gauge_.set(static_cast<double>(degraded));
+    if (node.degraded)
+      ++degraded_nodes_;
+    else
+      --degraded_nodes_;
+    degraded_nodes_gauge_.set(static_cast<double>(degraded_nodes_));
   }
   if (sample.abstained) {
     ++abstained_;
@@ -284,12 +296,9 @@ ModelHealth::Status ModelHealth::status() const {
 
 std::string ModelHealth::summary_line() const {
   const std::lock_guard lock(mutex_);
-  std::size_t degraded = other_.degraded ? 1u : 0u;
-  for (const auto& [name, node] : nodes_)
-    if (node.degraded) ++degraded;
   std::ostringstream out;
   out << "health: samples=" << samples_ << " abstained=" << abstained_
-      << " nodes=" << nodes_.size() << " degraded=" << degraded
+      << " nodes=" << nodes_.size() << " degraded=" << degraded_nodes_
       << " novel="
       << (novel_size_ == 0 ? 0.0
                            : 100.0 * static_cast<double>(novel_count_) /

@@ -21,6 +21,11 @@
 // classification, so output is bit-identical with it attached or not.
 // record() and every reader are internally synchronized — scrape-route
 // handlers may run on the server thread while a fleet drain records.
+//
+// A node's card is decided once, at its first sighting: resolve() runs
+// the first-K admission and hands back a NodeHandle, and the hot
+// record(sample, handle) takes one mutex and does no lookup. The online
+// classifier keeps each node's handle next to its window.
 #pragma once
 
 #include <cstdint>
@@ -75,11 +80,39 @@ struct HealthSample {
 };
 
 class ModelHealth {
+  struct NodeStats;
+
  public:
   explicit ModelHealth(ModelHealthOptions options);
 
-  /// Feeds one sample. Thread-safe.
+  /// A node's scorecard as resolve() decided it: the node's own card
+  /// while it is admitted, the shared "other" card when it overflowed.
+  /// Valid for the aggregator's lifetime; default-constructed = not yet
+  /// resolved.
+  class NodeHandle {
+   public:
+    NodeHandle() = default;
+    explicit operator bool() const noexcept { return stats_ != nullptr; }
+
+   private:
+    friend class ModelHealth;
+    explicit NodeHandle(NodeStats* stats) noexcept : stats_(stats) {}
+    NodeStats* stats_ = nullptr;
+  };
+
+  /// Finds or admits `node_ip`'s card (first-K order; an overflowed node
+  /// is counted once in /nodes' "overflowed"). Cold: a node's first
+  /// sighting allocates its card. Thread-safe.
+  NodeHandle resolve(std::string_view node_ip);
+
+  /// Feeds one sample: record(sample, resolve(sample.node_ip)).
   void record(const HealthSample& sample);
+
+  /// Feeds one sample into the card `node`, which this aggregator's
+  /// resolve() returned; sample.node_ip is not read. One mutex, no
+  /// lookup, and no allocation once the drift reference is frozen.
+  /// Thread-safe.
+  void record(const HealthSample& sample, NodeHandle node);
 
   /// Fires once per drift rising edge (component index, PSI score); the
   /// hook a retraining loop subscribes to. Set before streaming.
@@ -161,6 +194,8 @@ class ModelHealth {
   DriftDetector drift_;
   std::uint64_t samples_ = 0;
   std::uint64_t abstained_ = 0;
+  /// Cards (the "other" card included) whose last sample was degraded.
+  std::size_t degraded_nodes_ = 0;
   /// Rolling novelty ring behind the novel-fraction gauge.
   std::vector<bool> novel_ring_;
   std::size_t novel_head_ = 0;

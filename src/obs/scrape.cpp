@@ -70,12 +70,17 @@ RequestLine parse_request_line(std::string_view request) {
 
 ScrapeServer::ScrapeServer(ScrapeServerOptions options)
     : options_(std::move(options)),
-      // Request-counter label budget: the three built-ins plus a handful
-      // of registered routes; anything beyond collapses to "other".
-      path_labels_(8) {
-  path_labels_.admit("/metrics");
-  path_labels_.admit("/healthz");
-  path_labels_.admit("/traces/recent");
+      other_requests_(MetricsRegistry::global().counter(
+          "appclass_scrape_requests_total", {{"path", "other"}})) {
+  add_request_counter("/metrics");
+  add_request_counter("/healthz");
+  add_request_counter("/traces/recent");
+}
+
+void ScrapeServer::add_request_counter(const std::string& path) {
+  request_counters_.emplace(
+      path, &MetricsRegistry::global().counter(
+                "appclass_scrape_requests_total", {{"path", path}}));
 }
 
 void ScrapeServer::add_route(std::string path, std::string content_type,
@@ -83,7 +88,7 @@ void ScrapeServer::add_route(std::string path, std::string content_type,
   if (running()) return;
   if (path == "/metrics" || path == "/healthz" || path == "/traces/recent")
     return;
-  path_labels_.admit(path);
+  add_request_counter(path);
   routes_[std::move(path)] =
       Route{std::move(content_type), std::move(handler)};
 }
@@ -91,14 +96,6 @@ void ScrapeServer::add_route(std::string path, std::string content_type,
 void ScrapeServer::set_health_check(std::function<HealthVerdict()> check) {
   if (running()) return;
   health_check_ = std::move(check);
-}
-
-Counter& ScrapeServer::route_counter(const std::string& path) {
-  // admit() returns a stable reference (either the stored path or the
-  // shared "other" value), so every request target maps to one of at most
-  // max_values + 1 registry series.
-  return MetricsRegistry::global().counter(
-      "appclass_scrape_requests_total", {{"path", path_labels_.admit(path)}});
 }
 
 ScrapeServer::~ScrapeServer() { stop(); }
@@ -133,7 +130,9 @@ void ScrapeServer::serve(int fd) {
     return;
   }
   const RequestLine request = parse_request_line(raw);
-  route_counter(request.path).inc();
+  const auto counter = request_counters_.find(request.path);
+  (counter != request_counters_.end() ? *counter->second : other_requests_)
+      .inc();
 
   if (request.method != "GET") {
     send_response(fd, "405 Method Not Allowed", "text/plain",

@@ -31,7 +31,6 @@
 #include <string>
 
 #include "common/net.hpp"
-#include "obs/cardinality.hpp"
 #include "obs/metrics.hpp"
 
 namespace appclass::obs {
@@ -104,7 +103,7 @@ class ScrapeServer {
   };
 
   void serve(int fd);
-  Counter& route_counter(const std::string& path);
+  void add_request_counter(const std::string& path);
 
   /// Monotonic ms of the last served /traces/recent dump (accept-thread
   /// only; atomic so a future multi-acceptor stays correct).
@@ -113,9 +112,11 @@ class ScrapeServer {
   ScrapeServerOptions options_;
   std::map<std::string, Route> routes_;
   std::function<HealthVerdict()> health_check_;
-  /// Bounded request-counter labels: built-ins + registered routes keep
-  /// their own series, arbitrary request targets collapse to "other".
-  BoundedLabelSet path_labels_;
+  /// Request counters, resolved when a route is registered: each
+  /// built-in and registered route has its own series, and every other
+  /// request path counts under path="other" without being stored.
+  std::map<std::string, Counter*, std::less<>> request_counters_;
+  Counter& other_requests_;
   common::TcpServer server_;  // last: its thread serves from the above
 };
 

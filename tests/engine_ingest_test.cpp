@@ -3,7 +3,7 @@
 // the FleetStream overflow policies and hook-attach/horizon semantics,
 // the RCU bus announce, and — the headline regression guard — an
 // operator-new counter proving a warmed push→drain cycle touches the
-// heap zero times.
+// heap zero times, with and without model health attached.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +20,8 @@
 #include "engine/fleet.hpp"
 #include "engine/snapshot_ring.hpp"
 #include "monitor/bus.hpp"
+#include "obs/cardinality.hpp"
+#include "obs/health.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter. Every operator-new form funnels through
@@ -395,29 +397,29 @@ TEST_F(FleetIngestTest, BatchPathMatchesPerSnapshotClassify) {
 
 // --- The headline guard: zero allocations per warmed cycle -----------------
 
-TEST_F(FleetIngestTest, SteadyStatePushDrainCycleIsAllocationFree) {
-  core::OnlineOptions options;
-  engine::FleetStream fleet(*pipeline_, options);
-  monitor::MetricBus bus;
-  fleet.attach(bus);
-
-  // Stable per-node streams: every node keeps announcing its own class,
-  // so windows fill, coverage settles, and no change events fire inside
-  // the measured region. The snapshots are pre-generated so the region
-  // contains *only* the announce→push→drain→ingest path.
-  const std::size_t kNodes = core::kClassCount;
+/// Warms `fleet` (attached to `bus`) with stable per-node streams, then
+/// expects ten announce→push→drain→ingest cycles to touch the heap zero
+/// times. Node n keeps announcing class n % kClassCount, so windows fill,
+/// coverage settles, and no change events fire inside the measured
+/// region. The snapshots are pre-generated so the region contains *only*
+/// the announce→push→drain→ingest path.
+void expect_allocation_free_cycles(engine::FleetStream& fleet,
+                                   monitor::MetricBus& bus,
+                                   const core::OnlineOptions& options,
+                                   std::size_t nodes) {
   const std::size_t kPerCycle = 4;
   std::vector<metrics::Snapshot> cycle;
   for (std::size_t s = 0; s < kPerCycle; ++s)
-    for (std::size_t node = 0; node < kNodes; ++node)
-      cycle.push_back(grid_snapshot(core::class_from_index(node),
-                                    1000 + node * kPerCycle + s, 0,
-                                    "10.0." + std::to_string(node) + ".1"));
+    for (std::size_t node = 0; node < nodes; ++node)
+      cycle.push_back(grid_snapshot(
+          core::class_from_index(node % core::kClassCount),
+          1000 + node * kPerCycle + s, 0,
+          "10.0." + std::to_string(node) + ".1"));
   metrics::SimTime t = 0;
   const auto run_cycle = [&] {
     for (std::size_t s = 0; s < kPerCycle; ++s) {
-      for (std::size_t node = 0; node < kNodes; ++node) {
-        metrics::Snapshot& snapshot = cycle[s * kNodes + node];
+      for (std::size_t node = 0; node < nodes; ++node) {
+        metrics::Snapshot& snapshot = cycle[s * nodes + node];
         snapshot.time = t;
         bus.announce(snapshot);
       }
@@ -431,7 +433,7 @@ TEST_F(FleetIngestTest, SteadyStatePushDrainCycleIsAllocationFree) {
   const std::size_t warm_cycles =
       options.window / kPerCycle + 4;  // windows must fill AND start evicting
   for (std::size_t i = 0; i < warm_cycles; ++i)
-    ASSERT_EQ(run_cycle(), kNodes * kPerCycle);
+    ASSERT_EQ(run_cycle(), nodes * kPerCycle);
 
   const std::uint64_t ring_grows_before = fleet.ring_grows();
   const std::uint64_t before = allocations();
@@ -439,12 +441,59 @@ TEST_F(FleetIngestTest, SteadyStatePushDrainCycleIsAllocationFree) {
   for (int i = 0; i < 10; ++i) drained += run_cycle();
   const std::uint64_t after = allocations();
 
-  EXPECT_EQ(drained, 10u * kNodes * kPerCycle);
+  EXPECT_EQ(drained, 10u * nodes * kPerCycle);
   EXPECT_EQ(after - before, 0u)
       << "steady-state ingest allocated " << (after - before) << " times over "
       << drained << " snapshots";
   EXPECT_EQ(fleet.ring_grows(), ring_grows_before);
+}
+
+TEST_F(FleetIngestTest, SteadyStatePushDrainCycleIsAllocationFree) {
+  core::OnlineOptions options;
+  engine::FleetStream fleet(*pipeline_, options);
+  monitor::MetricBus bus;
+  fleet.attach(bus);
+  expect_allocation_free_cycles(fleet, bus, options, core::kClassCount);
   fleet.detach();
+}
+
+TEST_F(FleetIngestTest, HealthAttachedPushDrainCycleIsAllocationFree) {
+  // The serve configuration: model health attached with drift on, and
+  // more nodes than top_nodes, so most nodes record into "other".
+  core::OnlineOptions options;
+  obs::ModelHealthOptions health_options = core::make_health_options();
+  health_options.top_nodes = 16;
+  ASSERT_TRUE(health_options.drift_enabled);
+  obs::ModelHealth health(health_options);
+  engine::FleetStream fleet(*pipeline_, options);
+  fleet.online().attach_health(&health);
+  monitor::MetricBus bus;
+  fleet.attach(bus);
+  expect_allocation_free_cycles(fleet, bus, options, 64);
+  fleet.detach();
+
+  // The drift reference froze during warm-up, and the measured cycles
+  // reached both admitted cards and the shared "other" card.
+  EXPECT_NE(health.drift_json().find("\"reference_ready\":true"),
+            std::string::npos);
+  const std::string nodes = health.nodes_json();
+  EXPECT_NE(nodes.find("\"tracked\":16"), std::string::npos) << nodes;
+  EXPECT_NE(nodes.find("\"overflowed\":48"), std::string::npos) << nodes;
+}
+
+// --- Label admission ------------------------------------------------------
+
+TEST(LabelSetAllocationTest, ReadmittingAnOverflowedValueIsAllocationFree) {
+  obs::BoundedLabelSet labels(1);
+  (void)labels.admit("10.0.0.1");
+  ASSERT_EQ(&labels.admit("10.0.0.2"), &labels.overflow_label());
+  const std::uint64_t before = allocations();
+  bool overflowed = true;
+  for (int i = 0; i < 100; ++i)
+    overflowed &= &labels.admit("10.0.0.2") == &labels.overflow_label();
+  EXPECT_EQ(allocations(), before);
+  EXPECT_TRUE(overflowed);
+  EXPECT_EQ(labels.overflowed(), 1u);
 }
 
 }  // namespace

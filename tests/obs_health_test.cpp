@@ -1,6 +1,7 @@
 // Model-health observability primitives: bounded label cardinality, the
-// PSI drift detector (determinism, hysteresis, stationary silence), and
-// the ModelHealth aggregator's scorecards.
+// PSI drift detector (determinism, hysteresis, stationary silence), the
+// ModelHealth aggregator's scorecards, and the online classifier's
+// per-node handles agreeing with the string-keyed record path.
 #include "obs/health.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/online.hpp"
+#include "core_test_util.hpp"
 #include "obs/cardinality.hpp"
 #include "obs/drift.hpp"
+#include "obs/metrics.hpp"
 
 namespace appclass {
 namespace {
@@ -313,6 +317,149 @@ TEST(ModelHealth, DriftFeedReachesDetector) {
   EXPECT_GE(health.drift_events(), 1u);
   EXPECT_EQ(fired, health.drift_events());
   EXPECT_NE(health.drift_json().find("\"drifting\":true"),
+            std::string::npos);
+}
+
+// ------------------------------------------- handle path == string path
+
+/// Every scorecard a scrape or a stats dump can read.
+struct Scorecards {
+  std::string nodes, classes, drift, status, summary;
+
+  explicit Scorecards(const obs::ModelHealth& health)
+      : nodes(health.nodes_json()),
+        classes(health.classes_json()),
+        drift(health.drift_json()),
+        status(health.status().reason_json),
+        summary(health.summary_line()) {}
+};
+
+void expect_same_scorecards(const Scorecards& handles,
+                            const Scorecards& strings) {
+  EXPECT_EQ(handles.nodes, strings.nodes);
+  EXPECT_EQ(handles.classes, strings.classes);
+  EXPECT_EQ(handles.drift, strings.drift);
+  EXPECT_EQ(handles.status, strings.status);
+  EXPECT_EQ(handles.summary, strings.summary);
+}
+
+TEST(ModelHealthHandles, HandlePathMatchesStringPath) {
+  core::ClassificationPipeline pipeline;
+  pipeline.train(core::testing::synthetic_training());
+
+  // Ten nodes against four cards: nodes 0-3 are admitted, 4-9 share
+  // "other". Each node's class rotates every 20 steps. Blackouts make
+  // nodes abstain (degraded) and recover: node 1 (admitted) and node 7
+  // (overflowed) mid-run, node 2 (admitted) and node 9 (overflowed) at
+  // the end, so both cards end degraded ("other" shows its last sample,
+  // which is node 9's, and flips on every step while node 9 abstains).
+  constexpr std::size_t kNodes = 10;
+  constexpr std::size_t kSteps = 60;
+  constexpr std::size_t kImportAt = 34;  // node 7 degraded in "other"
+  constexpr std::size_t kReattachAt = 40;
+  const auto absent = [](std::size_t node, std::size_t step) {
+    switch (node) {
+      case 1: return step >= 20 && step < 28;
+      case 7: return step >= 25 && step < 33;
+      case 2:
+      case 9: return step >= 50 && step < 58;
+      default: return false;
+    }
+  };
+  const int d = core::OnlineOptions{}.sampling_interval_s;
+  std::vector<metrics::Snapshot> stream;
+  std::vector<std::size_t> step_begin;  // first stream index of each step
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    step_begin.push_back(stream.size());
+    for (std::size_t node = 0; node < kNodes; ++node) {
+      if (absent(node, step)) continue;
+      linalg::Rng rng(1000 * node + step);
+      metrics::Snapshot snapshot = core::testing::synthetic_snapshot(
+          core::class_from_index((node + step / 20) % core::kClassCount),
+          rng, static_cast<metrics::SimTime>(step) * d);
+      snapshot.node_ip = "10.0." + std::to_string(node) + ".1";
+      stream.push_back(std::move(snapshot));
+    }
+  }
+  step_begin.push_back(stream.size());
+
+  obs::ModelHealthOptions options = core::make_health_options(8);
+  options.top_nodes = 4;
+  obs::Gauge& degraded_gauge =
+      obs::MetricsRegistry::global().gauge("appclass_health_degraded_nodes");
+  // The gauge is process-global and set on degraded flips only: poison
+  // it before each aggregator's stretch, then it must read that
+  // aggregator's recount.
+  const auto expect_gauge_is_recount = [&](const obs::ModelHealth& health) {
+    const std::size_t recount = health.status().degraded_nodes;
+    EXPECT_EQ(degraded_gauge.value(), static_cast<double>(recount));
+  };
+
+  // Handle path: the online classifier resolves each node once. Its state
+  // is re-imported mid-run (dropping the handles) and it is re-attached
+  // to a fresh aggregator.
+  obs::ModelHealth handles(options);
+  obs::ModelHealth handles_after(options);
+  {
+    core::OnlineClassifier online(pipeline);
+    online.attach_health(&handles);
+    degraded_gauge.set(-1.0);
+    for (std::size_t i = 0; i < step_begin[kReattachAt]; ++i) {
+      if (i == step_begin[kImportAt]) online.import_state(online.export_state());
+      online.observe(stream[i]);
+    }
+    expect_gauge_is_recount(handles);
+    online.attach_health(&handles_after);
+    degraded_gauge.set(-1.0);
+    for (std::size_t i = step_begin[kReattachAt]; i < stream.size(); ++i)
+      online.observe(stream[i]);
+    expect_gauge_is_recount(handles_after);
+  }
+
+  // String path: the same evidence, each sample recorded by node ip. A
+  // health-less classifier supplies the coverage and abstention verdicts.
+  obs::ModelHealth strings(options);
+  obs::ModelHealth strings_after(options);
+  {
+    core::OnlineClassifier mirror(pipeline);
+    core::SnapshotBatch batch;
+    degraded_gauge.set(-1.0);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      if (i == step_begin[kReattachAt]) {
+        expect_gauge_is_recount(strings);
+        degraded_gauge.set(-1.0);
+      }
+      const metrics::Snapshot& snapshot = stream[i];
+      pipeline.begin_snapshot_batch(batch, 1, /*detailed=*/true);
+      pipeline.classify_snapshot_into(snapshot, batch, 0,
+                                      *pipeline.acquire_scratch());
+      const core::SnapshotClassification& detail = batch.detail(0);
+      mirror.ingest(snapshot, detail);
+      obs::HealthSample sample;
+      sample.node_ip = snapshot.node_ip;
+      sample.class_index = core::index_of(detail.label);
+      sample.coverage = *mirror.coverage(snapshot.node_ip);
+      sample.degraded = mirror.degraded(snapshot.node_ip);
+      sample.abstained = sample.degraded;
+      sample.confidence = detail.confidence;
+      sample.vote_margin = detail.vote_margin;
+      sample.novel = pipeline.novelty_threshold() > 0.0 &&
+                     detail.novelty > pipeline.novelty_threshold();
+      sample.projected = detail.projected;
+      (i < step_begin[kReattachAt] ? strings : strings_after).record(sample);
+    }
+    expect_gauge_is_recount(strings_after);
+  }
+
+  expect_same_scorecards(Scorecards(handles), Scorecards(strings));
+  expect_same_scorecards(Scorecards(handles_after), Scorecards(strings_after));
+  // The stream reached both kinds of card on both aggregators.
+  for (const obs::ModelHealth* health : {&handles, &handles_after}) {
+    const std::string nodes = health->nodes_json();
+    EXPECT_NE(nodes.find("\"tracked\":4"), std::string::npos) << nodes;
+    EXPECT_NE(nodes.find("\"overflowed\":6"), std::string::npos) << nodes;
+  }
+  EXPECT_NE(Scorecards(handles_after).status.find("\"node\":\"other\""),
             std::string::npos);
 }
 

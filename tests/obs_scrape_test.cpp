@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -145,6 +146,62 @@ TEST(ObsScrapeRoutes, RegisteredRouteServesItsHandler) {
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("application/json"), std::string::npos);
   EXPECT_NE(response.find("{\"classes\":[]}"), std::string::npos);
+  server.stop();
+}
+
+/// Registry series of appclass_scrape_requests_total, by path label.
+std::vector<std::string> request_counter_paths() {
+  std::vector<std::string> paths;
+  for (const auto& c : obs::MetricsRegistry::global().snapshot().counters)
+    if (c.name == "appclass_scrape_requests_total")
+      for (const auto& [key, value] : c.labels)
+        if (key == "path") paths.push_back(value);
+  return paths;
+}
+
+TEST(ObsScrapeRoutes, EveryRegisteredRouteHasItsOwnCounter) {
+  // More routes than any fixed label budget: the coordinator registers
+  // nine of its own besides the three built-ins.
+  obs::ScrapeServer server;
+  std::vector<std::string> routes;
+  for (int i = 0; i < 12; ++i) {
+    routes.push_back("/route" + std::to_string(i));
+    server.add_route(routes.back(), "text/plain",
+                     [] { return std::string("ok\n"); });
+  }
+  const std::vector<std::string> paths = request_counter_paths();
+  for (const std::string& route : routes)
+    EXPECT_EQ(std::count(paths.begin(), paths.end(), route), 1) << route;
+
+  ASSERT_TRUE(server.start());
+  const auto count = [](const std::string& path) {
+    const auto* c = obs::MetricsRegistry::global().snapshot().find_counter(
+        "appclass_scrape_requests_total", {{"path", path}});
+    return c ? c->value : std::uint64_t{0};
+  };
+  const std::uint64_t last_before = count(routes.back());
+  const std::uint64_t other_before = count("other");
+  const std::string response = http_request(server.port(), "GET /route11");
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
+  EXPECT_EQ(count(routes.back()), last_before + 1);
+  EXPECT_EQ(count("other"), other_before);
+  server.stop();
+}
+
+TEST(ObsScrapeRoutes, UnknownPathsCountUnderOtherAndAddNoSeries) {
+  obs::ScrapeServer server;
+  ASSERT_TRUE(server.start());
+  const auto other = [] {
+    const auto* c = obs::MetricsRegistry::global().snapshot().find_counter(
+        "appclass_scrape_requests_total", {{"path", "other"}});
+    return c ? c->value : std::uint64_t{0};
+  };
+  const std::size_t series_before = request_counter_paths().size();
+  const std::uint64_t other_before = other();
+  for (int i = 0; i < 1000; ++i)
+    (void)http_request(server.port(), "GET /junk/" + std::to_string(i));
+  EXPECT_EQ(other(), other_before + 1000);
+  EXPECT_EQ(request_counter_paths().size(), series_before);
   server.stop();
 }
 
