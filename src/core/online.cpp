@@ -164,6 +164,7 @@ void OnlineClassifier::ingest_impl(const metrics::Snapshot& snapshot,
   if (health_ != nullptr) {
     if (!node.health) node.health = health_->resolve(snapshot.node_ip);
     obs::HealthSample sample;
+    sample.node_ip = snapshot.node_ip;
     sample.class_index = index_of(label);
     sample.coverage = node.coverage;
     sample.degraded = abstain;

@@ -1,14 +1,12 @@
 #include "core/serialize.hpp"
 
-#include <cstdint>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
 #include "common/assert.hpp"
-#include "common/fnv1a.hpp"
 #include "common/fs.hpp"
+#include "common/sealed_text.hpp"
 
 namespace appclass::core {
 
@@ -20,36 +18,7 @@ namespace {
 // still readable.
 constexpr std::string_view kMagic = "appclass-pipeline v2";
 constexpr std::string_view kMagicV1 = "appclass-pipeline v1";
-constexpr std::string_view kChecksumTag = "checksum ";
-
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("pipeline deserialization: " + what);
-}
-
-std::string to_hex64(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = kDigits[v & 0xf];
-  return out;
-}
-
-std::string expect_tag(std::istream& is, const std::string& tag) {
-  std::string got;
-  if (!(is >> got) || got != tag) fail("expected '" + tag + "'");
-  return got;
-}
-
-double read_double(std::istream& is) {
-  double v = 0.0;
-  if (!(is >> v)) fail("truncated number");
-  return v;
-}
-
-std::size_t read_size(std::istream& is) {
-  long long v = 0;
-  if (!(is >> v) || v < 0) fail("bad count");
-  return static_cast<std::size_t>(v);
-}
+constexpr std::string_view kContext = "pipeline deserialization";
 
 }  // namespace
 
@@ -94,95 +63,62 @@ std::string save_pipeline(const ClassificationPipeline& pipeline) {
       os << ' ' << knn.training_points()(i, c);
     os << '\n';
   }
-  std::string body = os.str();
-  body.append(kChecksumTag);
-  body.append(to_hex64(common::fnv1a64(
-      std::string_view(body.data(), body.size() - kChecksumTag.size()))));
-  body.push_back('\n');
-  return body;
+  return common::seal_text(os.str());
 }
 
 ClassificationPipeline load_pipeline(const std::string& text) {
-  std::string_view view = text;
-  if (view.empty()) fail("empty model file");
-  const bool v1 = view.rfind(kMagicV1, 0) == 0;
-  if (!v1 && view.rfind(kMagic, 0) != 0) fail("bad magic/version header");
+  if (text.empty()) common::fail_parse(kContext, "empty model file");
+  const bool v1 = text.starts_with(kMagicV1);
+  if (!v1 && !text.starts_with(kMagic))
+    common::fail_parse(kContext, "bad magic/version header");
+  if (!v1) common::check_seal(text, kContext);
 
-  if (!v1) {
-    // Verify the checksum footer before trusting any field.
-    const std::size_t footer = view.rfind(kChecksumTag);
-    if (footer == std::string_view::npos)
-      fail("missing checksum footer (truncated file?)");
-    std::string_view recorded = view.substr(footer + kChecksumTag.size());
-    while (!recorded.empty() &&
-           (recorded.back() == '\n' || recorded.back() == '\r' ||
-            recorded.back() == ' '))
-      recorded.remove_suffix(1);
-    // A footer tag with fewer than 16 hex digits means the crash landed
-    // inside the footer itself — report that distinctly from damage to
-    // the body, which surfaces as a value mismatch below.
-    if (recorded.size() != 16 ||
-        recorded.find_first_not_of("0123456789abcdef") !=
-            std::string_view::npos)
-      fail("truncated checksum footer (expected 16 hex digits, found '" +
-           std::string(recorded) + "')");
-    const std::string computed =
-        to_hex64(common::fnv1a64(view.substr(0, footer)));
-    if (recorded != computed)
-      fail("checksum mismatch: file is corrupt (expected " + computed +
-           ", found '" + std::string(recorded) + "')");
-  }
-
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || (line != kMagic && line != kMagicV1))
-    fail("bad magic/version header");
+  common::TextReader in(text, kContext);
+  in.expect_header(v1 ? kMagicV1 : kMagic);
 
   // --- preprocessor ---
-  expect_tag(is, "metrics");
-  const std::size_t p = read_size(is);
-  if (p == 0 || p > metrics::kMetricCount) fail("bad metric count");
+  in.expect_tag("metrics");
+  const std::size_t p = in.read_size();
+  if (p == 0 || p > metrics::kMetricCount) in.fail("bad metric count");
   std::vector<metrics::MetricId> selected;
   for (std::size_t i = 0; i < p; ++i) {
-    std::string name;
-    if (!(is >> name)) fail("truncated metric list");
+    const std::string name = in.word("truncated metric list");
     const auto id = metrics::find_metric(name);
-    if (!id) fail("unknown metric '" + name + "'");
+    if (!id) in.fail("unknown metric '" + name + "'");
     selected.push_back(*id);
   }
   linalg::ColumnStats stats;
-  expect_tag(is, "norm-mean");
-  for (std::size_t i = 0; i < p; ++i) stats.mean.push_back(read_double(is));
-  expect_tag(is, "norm-stddev");
+  in.expect_tag("norm-mean");
+  for (std::size_t i = 0; i < p; ++i) stats.mean.push_back(in.read_double());
+  in.expect_tag("norm-stddev");
   for (std::size_t i = 0; i < p; ++i) {
-    const double sd = read_double(is);
-    if (sd <= 0.0) fail("non-positive stddev");
+    const double sd = in.read_double();
+    if (sd <= 0.0) in.fail("non-positive stddev");
     stats.stddev.push_back(sd);
   }
 
   // --- pca ---
-  expect_tag(is, "pca");
-  if (read_size(is) != p) fail("pca dimension mismatch");
-  const std::size_t q = read_size(is);
-  if (q == 0 || q > p) fail("bad component count");
+  in.expect_tag("pca");
+  if (in.read_size() != p) in.fail("pca dimension mismatch");
+  const std::size_t q = in.read_size();
+  if (q == 0 || q > p) in.fail("bad component count");
   std::vector<double> mean, eigenvalues;
-  expect_tag(is, "pca-mean");
-  for (std::size_t i = 0; i < p; ++i) mean.push_back(read_double(is));
-  expect_tag(is, "pca-eigenvalues");
+  in.expect_tag("pca-mean");
+  for (std::size_t i = 0; i < p; ++i) mean.push_back(in.read_double());
+  in.expect_tag("pca-eigenvalues");
   for (std::size_t i = 0; i < p; ++i)
-    eigenvalues.push_back(read_double(is));
+    eigenvalues.push_back(in.read_double());
   linalg::Matrix projection(p, q);
   for (std::size_t r = 0; r < p; ++r) {
-    expect_tag(is, "pca-row");
-    for (std::size_t c = 0; c < q; ++c) projection(r, c) = read_double(is);
+    in.expect_tag("pca-row");
+    for (std::size_t c = 0; c < q; ++c) projection(r, c) = in.read_double();
   }
 
   // --- knn ---
-  expect_tag(is, "knn");
-  const std::size_t n = read_size(is);
-  const std::size_t k = read_size(is);
-  std::string metric_name;
-  if (!(is >> metric_name)) fail("missing distance metric");
+  in.expect_tag("knn");
+  const std::size_t n = in.read_size();
+  const std::size_t k = in.read_size();
+  const std::string metric_name = in.word("missing distance metric");
   KnnOptions knn_options;
   knn_options.k = k;
   if (metric_name == "manhattan")
@@ -190,29 +126,28 @@ ClassificationPipeline load_pipeline(const std::string& text) {
   else if (metric_name == "euclidean")
     knn_options.metric = DistanceMetric::kEuclidean;
   else
-    fail("unknown distance metric '" + metric_name + "'");
-  if (n < k) fail("fewer training points than k");
+    in.fail("unknown distance metric '" + metric_name + "'");
+  if (n < k) in.fail("fewer training points than k");
 
   linalg::Matrix points(n, q);
   std::vector<ApplicationClass> labels;
   labels.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    std::string label_name;
-    if (!(is >> label_name)) fail("truncated training set");
+    const std::string label_name = in.word("truncated training set");
     const auto label = class_from_string(label_name);
-    if (!label) fail("unknown class '" + label_name + "'");
+    if (!label) in.fail("unknown class '" + label_name + "'");
     labels.push_back(*label);
-    for (std::size_t c = 0; c < q; ++c) points(i, c) = read_double(is);
+    for (std::size_t c = 0; c < q; ++c) points(i, c) = in.read_double();
   }
 
   // After the training set the only legal continuations are the checksum
   // footer (v2) or end of file (v1). Anything else is a section this
   // build does not understand — loading would silently drop state, so
   // refuse loudly instead.
-  std::string trailing;
-  if (is >> trailing && trailing != "checksum")
-    fail("unknown section '" + trailing +
-         "' (file written by a newer format version?)");
+  const std::string trailing = in.word();
+  if (!trailing.empty() && trailing != "checksum")
+    in.fail("unknown section '" + trailing +
+            "' (file written by a newer format version?)");
 
   KnnClassifier knn(knn_options);
   knn.train(std::move(points), std::move(labels));

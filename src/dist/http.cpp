@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "common/codec.hpp"
 #include "common/net.hpp"
 
 namespace appclass::dist {
@@ -16,8 +17,9 @@ char to_lower(char c) {
   return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 }
 
-/// The value of header `name` in a raw header block, lowercased; the
-/// name matches in any case (RFC 9110). nullopt when absent.
+/// The value of header `name` in a raw header block, lowercased and
+/// without surrounding whitespace; the name matches in any case (RFC
+/// 9110). nullopt when absent.
 std::optional<std::string> header_value(std::string_view headers,
                                         std::string_view name) {
   std::size_t at = 0;
@@ -30,7 +32,9 @@ std::optional<std::string> header_value(std::string_view headers,
         !std::equal(name.begin(), name.end(), line.begin(),
                     [](char a, char b) { return to_lower(a) == to_lower(b); }))
       continue;
-    std::string value(line.substr(name.size() + 1));
+    std::string_view raw = line.substr(name.size() + 1);
+    raw.remove_prefix(std::min(raw.find_first_not_of(" \t"), raw.size()));
+    std::string value(raw.substr(0, raw.find_last_not_of(" \t") + 1));
     std::transform(value.begin(), value.end(), value.begin(), to_lower);
     return value;
   }
@@ -67,7 +71,11 @@ HttpError exchange(int fd, const std::string& request,
       return HttpError::kChunked;
     // Reject an announced oversize body before draining it.
     if (const auto length = header_value(headers, "content-length")) {
-      content_length = std::strtoull(length->c_str(), nullptr, 10);
+      // Digits only: "abc" must not read as 0 (no short-body guard), nor
+      // "12abc" as 12.
+      const auto value = common::parse_count(*length);
+      if (!value) return HttpError::kProtocol;
+      content_length = static_cast<std::size_t>(*value);
       if (content_length > options.max_response_bytes)
         return HttpError::kTooLarge;
     }

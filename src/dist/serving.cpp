@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/codec.hpp"
 #include "core/class_label.hpp"
 #include "dist/replay.hpp"
 #include "obs/metrics.hpp"
@@ -43,7 +44,7 @@ void export_restart_ordinal() {
   // Under --supervised the watchdog's registry lives in another process;
   // the restart ordinal reaches the worker's /metrics via environment.
   if (const char* env = std::getenv(persist::kRestartsEnvVar)) {
-    if (const auto ordinal = parse_count(env))
+    if (const auto ordinal = common::parse_count(env))
       obs::MetricsRegistry::global()
           .gauge("appclass_supervised_restart_ordinal")
           .set(static_cast<double>(*ordinal));
@@ -51,16 +52,6 @@ void export_restart_ordinal() {
 }
 
 }  // namespace
-
-std::optional<long long> parse_count(std::string_view text) {
-  if (text.empty() || text.size() > 18) return std::nullopt;
-  long long v = 0;
-  for (const char ch : text) {
-    if (ch < '0' || ch > '9') return std::nullopt;
-    v = v * 10 + (ch - '0');
-  }
-  return v;
-}
 
 std::vector<std::string> split_list(const std::string& text, char sep) {
   std::vector<std::string> out;
@@ -76,7 +67,7 @@ const IntFlag* parse_int_flag(std::span<const IntFlag> table,
   for (const IntFlag& row : table) {
     if (flag.rfind(row.name, 0) != 0) continue;
     const std::string text = flag.substr(row.name.size());
-    const auto value = parse_count(text);
+    const auto value = common::parse_count(text);
     bad = !value || *value < row.min || *value > row.max;
     if (bad)
       std::fprintf(stderr, "%sbad %s '%s'%s\n", prefix, row.what,
@@ -133,7 +124,8 @@ std::string merge_composition_texts(const std::vector<std::string>& parts) {
     for (const char* key : {"classified ", "abstained "}) {
       if (!std::getline(in, line) || line.rfind(key, 0) != 0)
         throw std::runtime_error("merge: missing counter line");
-      const auto value = parse_count(line.substr(std::strlen(key)));
+      const auto value =
+          common::parse_count(line.substr(std::strlen(key)));
       if (!value || *value < 0)
         throw std::runtime_error("merge: bad counter value");
       (key[0] == 'c' ? classified : abstained) +=
@@ -211,8 +203,8 @@ ParseResult parse_serve_args(const std::string& model_path,
         const auto ports = split_list(token, ':');
         std::optional<long long> scrape, ingest;
         if (ports.size() == 2) {
-          scrape = parse_count(ports[0]);
-          ingest = parse_count(ports[1]);
+          scrape = common::parse_count(ports[0]);
+          ingest = common::parse_count(ports[1]);
         }
         if (!scrape || !ingest || *scrape < 1 || *scrape > 65535 ||
             *ingest < 1 || *ingest > 65535) {

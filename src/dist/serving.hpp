@@ -110,13 +110,6 @@ struct ParseResult {
 ParseResult parse_serve_args(const std::string& model_path,
                              const std::vector<std::string>& flags);
 
-/// The CLI's one integer grammar: digits only. Deliberately stricter
-/// than strtoll, which accepts leading whitespace and a sign — so
-/// "--port= 80", "+80", or "-1" read as valid ports/counts. Every integer
-/// flag is a count, port, seed or ordinal: non-negative by definition.
-/// Length-capped below LLONG_MAX's 19 digits, so overflow cannot occur.
-std::optional<long long> parse_count(std::string_view text);
-
 /// Splits on `sep`, keeping empty items ("a,,b" -> {"a", "", "b"}).
 std::vector<std::string> split_list(const std::string& text, char sep);
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/codec.hpp"
 #include "common/fnv1a.hpp"
 #include "monitor/wire.hpp"
 
@@ -15,26 +16,8 @@ constexpr std::uint32_t kFrameMagic = 0x41534E50;  // "ASNP"
 constexpr std::uint32_t kHelloMagic = 0x41534E48;  // "ASNH"
 constexpr std::uint32_t kAckMagic = 0x41534E41;    // "ASNA"
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8)
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8)
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
+using common::get_be;
+using common::put_be;
 
 }  // namespace
 
@@ -65,16 +48,16 @@ std::vector<std::uint8_t> encode_frame(const metrics::Snapshot& snapshot,
   APPCLASS_EXPECTS(!payload.empty() && payload.size() <= kMaxFramePayload);
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + payload.size() + 8);
-  put_u32(out, kFrameMagic);
+  put_be(out, kFrameMagic);
   out.push_back(kWireVersion);
-  put_u64(out, seq);
-  put_u64(out, trace.trace_id);
-  put_u64(out, trace.span_id);
-  put_u64(out, announce_us);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_be(out, seq);
+  put_be(out, trace.trace_id);
+  put_be(out, trace.span_id);
+  put_be(out, announce_us);
+  put_be(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   // Checksum covers version..payload — everything after the magic.
-  put_u64(out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
+  put_be(out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
   return out;
 }
 
@@ -96,13 +79,13 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   const std::size_t have = buffer_.size() - pos_;
   const std::uint8_t* p = buffer_.data() + pos_;
   if (have < 4) return DecodeStatus::kNeedMore;
-  if (get_u32(p) != kFrameMagic) return DecodeStatus::kBadMagic;
+  if (get_be<std::uint32_t>(p) != kFrameMagic) return DecodeStatus::kBadMagic;
   if (have < 5) return DecodeStatus::kNeedMore;
   // Version is judged before anything else is trusted: an unknown schema
   // must not masquerade as corruption.
   if (p[4] != kWireVersion) return DecodeStatus::kBadVersion;
   if (have < kFrameHeaderBytes) return DecodeStatus::kNeedMore;
-  const std::uint32_t payload_len = get_u32(p + 37);
+  const std::uint32_t payload_len = get_be<std::uint32_t>(p + 37);
   if (payload_len == 0 || payload_len > kMaxFramePayload)
     return DecodeStatus::kBadPayload;
   const std::size_t total = kFrameHeaderBytes + payload_len + 8;
@@ -110,7 +93,8 @@ DecodeStatus FrameDecoder::next(Frame& out) {
 
   // One pass checks the frame checksum (version..payload) and hashes the
   // packet body; the packet is then checked and decoded in place.
-  const std::uint64_t checksum = get_u64(p + kFrameHeaderBytes + payload_len);
+  const auto checksum =
+      get_be<std::uint64_t>(p + kFrameHeaderBytes + payload_len);
   const common::Fnv1aLanes hashes = monitor::hash_envelope(
       {p + 4, kFrameHeaderBytes + payload_len - 4}, kFrameHeaderBytes - 4);
   if (hashes.h64 != checksum) return DecodeStatus::kBadChecksum;
@@ -118,11 +102,11 @@ DecodeStatus FrameDecoder::next(Frame& out) {
                              hashes.h32, &out.snapshot))
     return DecodeStatus::kBadPayload;
 
-  out.seq = get_u64(p + 5);
-  out.trace.trace_id = get_u64(p + 13);
-  out.trace.span_id = get_u64(p + 21);
+  out.seq = get_be<std::uint64_t>(p + 5);
+  out.trace.trace_id = get_be<std::uint64_t>(p + 13);
+  out.trace.span_id = get_be<std::uint64_t>(p + 21);
   out.trace.parent_span_id = 0;
-  out.announce_us = get_u64(p + 29);
+  out.announce_us = get_be<std::uint64_t>(p + 29);
   pos_ += total;
   compact();
   return DecodeStatus::kOk;
@@ -131,29 +115,31 @@ DecodeStatus FrameDecoder::next(Frame& out) {
 std::vector<std::uint8_t> encode_hello(const Hello& hello) {
   std::vector<std::uint8_t> out;
   out.reserve(kHelloBytes);
-  put_u32(out, kHelloMagic);
+  put_be(out, kHelloMagic);
   out.push_back(kWireVersion);
-  put_u64(out, hello.wal_next);
-  put_u64(out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
+  put_be(out, hello.wal_next);
+  put_be(out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
   APPCLASS_ENSURES(out.size() == kHelloBytes);
   return out;
 }
 
 DecodeStatus decode_hello(std::span<const std::uint8_t> bytes, Hello& out) {
   if (bytes.size() != kHelloBytes) return DecodeStatus::kBadPayload;
-  if (get_u32(bytes.data()) != kHelloMagic) return DecodeStatus::kBadMagic;
+  if (get_be<std::uint32_t>(bytes.data()) != kHelloMagic)
+    return DecodeStatus::kBadMagic;
   if (bytes[4] != kWireVersion) return DecodeStatus::kBadVersion;
-  if (common::fnv1a64(bytes.subspan(4, 9)) != get_u64(bytes.data() + 13))
+  if (common::fnv1a64(bytes.subspan(4, 9)) !=
+      get_be<std::uint64_t>(bytes.data() + 13))
     return DecodeStatus::kBadChecksum;
-  out.wal_next = get_u64(bytes.data() + 5);
+  out.wal_next = get_be<std::uint64_t>(bytes.data() + 5);
   return DecodeStatus::kOk;
 }
 
 std::vector<std::uint8_t> encode_ack(std::uint64_t seq) {
   std::vector<std::uint8_t> out;
   out.reserve(kAckBytes);
-  put_u32(out, kAckMagic);
-  put_u64(out, seq);
+  put_be(out, kAckMagic);
+  put_be(out, seq);
   APPCLASS_ENSURES(out.size() == kAckBytes);
   return out;
 }
@@ -161,8 +147,9 @@ std::vector<std::uint8_t> encode_ack(std::uint64_t seq) {
 DecodeStatus decode_ack(std::span<const std::uint8_t> bytes,
                         std::uint64_t& seq) {
   if (bytes.size() != kAckBytes) return DecodeStatus::kBadPayload;
-  if (get_u32(bytes.data()) != kAckMagic) return DecodeStatus::kBadMagic;
-  seq = get_u64(bytes.data() + 4);
+  if (get_be<std::uint32_t>(bytes.data()) != kAckMagic)
+    return DecodeStatus::kBadMagic;
+  seq = get_be<std::uint64_t>(bytes.data() + 4);
   return DecodeStatus::kOk;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,20 +15,6 @@ namespace appclass::obs {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Canonical ordering key, byte-identical to the registry's internal map
-/// key (metrics.cpp), so parsed/merged snapshots sort exactly like
-/// MetricsRegistry::snapshot() output — the fixed-point contract.
-std::string series_key(std::string_view name, const Labels& labels) {
-  std::string key(name);
-  for (const auto& [k, v] : labels) {
-    key.push_back('\x01');
-    key.append(k);
-    key.push_back('\x02');
-    key.append(v);
-  }
-  return key;
-}
 
 bool is_name_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -437,19 +424,8 @@ class JsonScanner {
         case 'u': {
           if (end_ - p_ < 4) return false;
           unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = *p_++;
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return false;
-            }
-          }
+          if (std::from_chars(p_, p_ + 4, code, 16).ptr != p_ + 4) return false;
+          p_ += 4;
           if (code < 0x80) {
             out.push_back(static_cast<char>(code));
           } else if (code < 0x800) {

@@ -95,14 +95,17 @@ ModelHealth::NodeStats& ModelHealth::node_stats_locked(
 
 ModelHealth::NodeHandle ModelHealth::resolve(std::string_view node_ip) {
   const std::lock_guard lock(mutex_);
-  return NodeHandle(&node_stats_locked(node_ip));
+  // The set holds overflowed nodes only: an admitted node's own card
+  // carries its degraded flag.
+  return {&node_stats_locked(node_ip), degraded_overflowed_.contains(node_ip)};
 }
 
 void ModelHealth::record(const HealthSample& sample) {
-  record(sample, resolve(sample.node_ip));
+  NodeHandle handle = resolve(sample.node_ip);
+  record(sample, handle);
 }
 
-void ModelHealth::record(const HealthSample& sample, NodeHandle handle) {
+void ModelHealth::record(const HealthSample& sample, NodeHandle& handle) {
   APPCLASS_EXPECTS(handle);
   const std::lock_guard lock(mutex_);
   ++samples_;
@@ -149,15 +152,27 @@ void ModelHealth::record(const HealthSample& sample, NodeHandle handle) {
   node.last_class = sample.class_index;
   node.coverage = sample.coverage;
   if (node.coverage_gauge) node.coverage_gauge->set(sample.coverage);
-  const bool was_degraded = node.degraded;
-  node.degraded = sample.degraded;
-  if (node.degraded != was_degraded) {
-    if (node.degraded)
-      ++degraded_nodes_;
-    else
-      --degraded_nodes_;
-    degraded_nodes_gauge_.set(static_cast<double>(degraded_nodes_));
+  const std::size_t was_degraded = degraded_nodes_;
+  if (&node != &other_) {
+    if (node.degraded != sample.degraded)
+      degraded_nodes_ = sample.degraded ? degraded_nodes_ + 1
+                                        : degraded_nodes_ - 1;
+    node.degraded = sample.degraded;
+  } else if (handle.degraded_ != sample.degraded) {
+    // The shared card stands for many nodes: it is degraded while any of
+    // them is, and each one counts.
+    handle.degraded_ = sample.degraded;
+    degraded_nodes_ -= degraded_overflowed_.size();
+    if (sample.degraded)
+      degraded_overflowed_.emplace(sample.node_ip);
+    else if (const auto it = degraded_overflowed_.find(sample.node_ip);
+             it != degraded_overflowed_.end())
+      degraded_overflowed_.erase(it);
+    degraded_nodes_ += degraded_overflowed_.size();
+    other_.degraded = !degraded_overflowed_.empty();
   }
+  if (degraded_nodes_ != was_degraded)
+    degraded_nodes_gauge_.set(static_cast<double>(degraded_nodes_));
   if (sample.abstained) {
     ++abstained_;
     ++node.abstained;
@@ -272,7 +287,6 @@ ModelHealth::Status ModelHealth::status() const {
   bool first = true;
   const auto add = [&](const std::string& name, const NodeStats& node) {
     if (!node.degraded) return;
-    ++status.degraded_nodes;
     if (!first) degraded << ',';
     first = false;
     degraded << "{\"node\":";
@@ -281,6 +295,7 @@ ModelHealth::Status ModelHealth::status() const {
   };
   for (const auto& [name, node] : nodes_) add(name, node);
   add(node_labels_.overflow_label(), other_);
+  status.degraded_nodes = degraded_nodes_;
   status.healthy = status.degraded_nodes == 0;
 
   std::ostringstream out;

@@ -33,6 +33,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -87,6 +88,9 @@ class ModelHealth {
 
   /// A node's scorecard as resolve() decided it: the node's own card
   /// while it is admitted, the shared "other" card when it overflowed.
+  /// An overflowed node's handle also caches whether that node is
+  /// degraded, so record() touches the shared card's degraded set only
+  /// when the node flips; one handle at a time records for a node.
   /// Valid for the aggregator's lifetime; default-constructed = not yet
   /// resolved.
   class NodeHandle {
@@ -96,8 +100,10 @@ class ModelHealth {
 
    private:
     friend class ModelHealth;
-    explicit NodeHandle(NodeStats* stats) noexcept : stats_(stats) {}
+    NodeHandle(NodeStats* stats, bool degraded) noexcept
+        : stats_(stats), degraded_(degraded) {}
     NodeStats* stats_ = nullptr;
+    bool degraded_ = false;
   };
 
   /// Finds or admits `node_ip`'s card (first-K order; an overflowed node
@@ -109,10 +115,11 @@ class ModelHealth {
   void record(const HealthSample& sample);
 
   /// Feeds one sample into the card `node`, which this aggregator's
-  /// resolve() returned; sample.node_ip is not read. One mutex, no
-  /// lookup, and no allocation once the drift reference is frozen.
-  /// Thread-safe.
-  void record(const HealthSample& sample, NodeHandle node);
+  /// resolve() returned for sample.node_ip. One mutex and no lookup; the
+  /// node ip is read only when an overflowed node's degraded state flips.
+  /// No allocation once the drift reference is frozen, except when an
+  /// overflowed node turns degraded. Thread-safe.
+  void record(const HealthSample& sample, NodeHandle& node);
 
   /// Fires once per drift rising edge (component index, PSI score); the
   /// hook a retraining loop subscribes to. Set before streaming.
@@ -131,9 +138,10 @@ class ModelHealth {
   /// One-line scorecard summary for --stats-every periodic dumps.
   std::string summary_line() const;
 
-  /// Liveness verdict for /healthz: unhealthy while any tracked node is
-  /// degraded (abstaining on thin coverage). `reason_json` is a JSON
-  /// body either way.
+  /// Liveness verdict for /healthz: unhealthy while any node is degraded
+  /// (abstaining on thin coverage). `degraded_nodes` counts every such
+  /// node, overflowed ones included; `reason_json` is a JSON body either
+  /// way, listing the shared "other" card once.
   struct Status {
     bool healthy = true;
     std::size_t degraded_nodes = 0;
@@ -190,11 +198,14 @@ class ModelHealth {
   std::vector<ClassStats> classes_;
   BoundedLabelSet node_labels_;
   std::map<std::string, NodeStats, std::less<>> nodes_;
+  /// The shared card for overflowed nodes: degraded while any of them is.
   NodeStats other_;
+  /// Overflowed nodes whose last sample was degraded.
+  std::set<std::string, std::less<>> degraded_overflowed_;
   DriftDetector drift_;
   std::uint64_t samples_ = 0;
   std::uint64_t abstained_ = 0;
-  /// Cards (the "other" card included) whose last sample was degraded.
+  /// Nodes whose last sample was degraded, overflowed ones included.
   std::size_t degraded_nodes_ = 0;
   /// Rolling novelty ring behind the novel-fraction gauge.
   std::vector<bool> novel_ring_;

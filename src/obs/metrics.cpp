@@ -42,11 +42,7 @@ const std::vector<double>& default_time_buckets() {
   return buckets;
 }
 
-namespace {
-
-/// Canonical map key: name, then label pairs separated by unprintable
-/// sentinels so no legal name/label text can collide.
-std::string encode_key(std::string_view name, const Labels& labels) {
+std::string series_key(std::string_view name, const Labels& labels) {
   std::string key(name);
   for (const auto& [k, v] : labels) {
     key.push_back('\x01');
@@ -56,6 +52,8 @@ std::string encode_key(std::string_view name, const Labels& labels) {
   }
   return key;
 }
+
+namespace {
 
 Labels sorted(Labels labels) {
   std::sort(labels.begin(), labels.end());
@@ -84,7 +82,7 @@ MetricsRegistry& MetricsRegistry::global() {
 MetricsRegistry::Entry& MetricsRegistry::entry_for(std::string_view name,
                                                    const Labels& labels) {
   // Caller holds mutex_.
-  const std::string key = encode_key(name, labels);
+  const std::string key = series_key(name, labels);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     auto entry = std::make_unique<Entry>();

@@ -141,6 +141,12 @@ struct HistogramSnapshot {
   }
 };
 
+/// The registry's key for one series: the name, then each label pair
+/// behind unprintable separators, so no legal name or label text can
+/// collide. Snapshots are sorted by it, and federation merges and sorts
+/// parsed series by the same key.
+std::string series_key(std::string_view name, const Labels& labels);
+
 /// Point-in-time copy of every registered metric, sorted by (name, labels).
 struct RegistrySnapshot {
   std::vector<CounterSnapshot> counters;

@@ -6,10 +6,11 @@
 // yet folded into this state). Recovery = newest valid checkpoint + a
 // deterministic replay of WAL records >= wal_next.
 //
-// Format: line-oriented text like core/serialize.cpp, closed by the same
-// FNV-1a-64 `checksum` footer, written via common::atomic_write_file
-// (temp + fsync + rename) so a crash mid-checkpoint leaves the previous
-// one intact. Files are named `checkpoint-<16-hex wal_next>.ckpt`; the
+// Format: line-oriented text like core/serialize.cpp, sealed by the same
+// FNV-1a-64 `checksum` footer (common/sealed_text.hpp), written via
+// common::atomic_write_file (temp + fsync + rename) so a crash
+// mid-checkpoint leaves the previous one intact. Files are named
+// `checkpoint-<16-hex wal_next>.ckpt` (common::SeqFileName); the
 // newest `keep` are retained, and a corrupt newest file falls back to the
 // next older (counted, warned, never fatal while any valid one remains).
 #pragma once

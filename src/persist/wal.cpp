@@ -1,19 +1,19 @@
 #include "persist/wal.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 
 #include "common/assert.hpp"
+#include "common/codec.hpp"
 #include "common/fnv1a.hpp"
 #include "common/fs.hpp"
+#include "common/seq_file.hpp"
 #include "monitor/wire.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
@@ -23,8 +23,7 @@ namespace {
 
 constexpr std::string_view kSegmentHeader = "appclass-wal v1\n";
 constexpr std::uint32_t kRecordMagic = 0x57414C52;  // "WALR"
-constexpr std::string_view kSegmentPrefix = "wal-";
-constexpr std::string_view kSegmentSuffix = ".seg";
+constexpr common::SeqFileName kSegmentName{"wal-", ".seg"};
 /// kNever flushes to the OS at this buffer size (memory bound, no fsync).
 constexpr std::size_t kNeverPolicyFlushBytes = 256 * 1024;
 /// magic + seq + payload length, then the payload, then the checksum.
@@ -36,49 +35,8 @@ constexpr std::size_t kMaxPayloadBytes =
 static_assert(kRecordHeaderBytes + kMaxPayloadBytes + kRecordFooterBytes <=
               kWalReadChunkBytes);
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-std::uint64_t read_u64(const unsigned char* p, std::size_t n) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::string segment_name(std::uint64_t first_seq) {
-  char name[64];
-  std::snprintf(name, sizeof name, "%.*s%016llx%.*s",
-                static_cast<int>(kSegmentPrefix.size()), kSegmentPrefix.data(),
-                static_cast<unsigned long long>(first_seq),
-                static_cast<int>(kSegmentSuffix.size()), kSegmentSuffix.data());
-  return name;
-}
-
-/// First record seq encoded in a segment file name; nullopt if the name
-/// is not a WAL segment.
-std::optional<std::uint64_t> segment_first_seq(std::string_view name) {
-  if (name.size() != kSegmentPrefix.size() + 16 + kSegmentSuffix.size())
-    return std::nullopt;
-  if (name.substr(0, kSegmentPrefix.size()) != kSegmentPrefix) return std::nullopt;
-  if (name.substr(name.size() - kSegmentSuffix.size()) != kSegmentSuffix)
-    return std::nullopt;
-  std::uint64_t seq = 0;
-  for (const char c : name.substr(kSegmentPrefix.size(), 16)) {
-    if (c >= '0' && c <= '9') seq = (seq << 4) | static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      seq = (seq << 4) | static_cast<std::uint64_t>(c - 'a' + 10);
-    else
-      return std::nullopt;
-  }
-  return seq;
-}
+using common::get_be;
+using common::put_be;
 
 /// Sequential reader over one segment file through a caller-owned buffer
 /// of kWalReadChunkBytes: a record cut by a chunk boundary is moved to the
@@ -177,7 +135,7 @@ WalWriter::~WalWriter() {
 }
 
 void WalWriter::open_segment() {
-  segment_path_ = dir_ + "/" + segment_name(next_seq_);
+  segment_path_ = dir_ + "/" + kSegmentName.format(next_seq_);
   // A leftover segment with this exact first-seq can only hold records a
   // prior recovery already declared lost (torn tail / nothing replayable)
   // — replace it rather than appending after garbage.
@@ -222,16 +180,16 @@ std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
 
   const std::uint64_t seq = next_seq_++;
   const std::size_t body_start = buffer_.size() + 4;  // after the magic
-  put_u32(buffer_, kRecordMagic);
-  put_u64(buffer_, seq);
-  put_u32(buffer_, static_cast<std::uint32_t>(payload.size()));
+  put_be(buffer_, kRecordMagic);
+  put_be(buffer_, seq);
+  put_be(buffer_, static_cast<std::uint32_t>(payload.size()));
   buffer_.append(reinterpret_cast<const char*>(payload.data()),
                  payload.size());
   const std::uint64_t checksum =
       common::fnv1a64(std::span<const std::uint8_t>(
           reinterpret_cast<const std::uint8_t*>(buffer_.data()) + body_start,
           buffer_.size() - body_start));
-  put_u64(buffer_, checksum);
+  put_be(buffer_, checksum);
   segment_bytes_ += record_size;
   ++appended_;
   ++unsynced_records_;
@@ -261,15 +219,11 @@ std::size_t WalWriter::prune_through(std::uint64_t seq) {
   const std::vector<std::string> segments = wal_segments(dir_);
   std::size_t removed = 0;
   for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
-    const std::size_t slash = segments[i].find_last_of('/');
-    const auto first = segment_first_seq(segments[i].substr(slash + 1));
-    const std::size_t next_slash = segments[i + 1].find_last_of('/');
-    const auto next_first =
-        segment_first_seq(segments[i + 1].substr(next_slash + 1));
-    if (!first || !next_first) continue;
     if (segments[i] == segment_path_) break;  // never the active segment
     // Records of segment i are < next segment's first seq.
-    if (*next_first == 0 || *next_first - 1 > seq) break;
+    const auto next_first = kSegmentName.parse(
+        std::string_view(segments[i + 1]).substr(dir_.size() + 1));
+    if (!next_first || *next_first == 0 || *next_first - 1 > seq) break;
     if (::unlink(segments[i].c_str()) == 0) {
       ++removed;
       APPCLASS_LOG_DEBUG("wal.pruned", {"segment", segments[i]},
@@ -289,16 +243,7 @@ void WalWriter::simulate_crash() {
 }
 
 std::vector<std::string> wal_segments(const std::string& dir) {
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (dirent* entry = ::readdir(d)) {
-    if (segment_first_seq(entry->d_name))
-      out.push_back(dir + "/" + entry->d_name);
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end());
-  return out;
+  return kSegmentName.list(dir);
 }
 
 WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
@@ -329,13 +274,12 @@ WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
           scan.truncated_tail = true;
         break;
       }
-      if (read_u64(reader.data(), 4) != kRecordMagic) {
+      if (get_be<std::uint32_t>(reader.data()) != kRecordMagic) {
         scan.truncated_tail = true;
         break;
       }
-      const std::uint64_t seq = read_u64(reader.data() + 4, 8);
-      const auto len =
-          static_cast<std::size_t>(read_u64(reader.data() + 12, 4));
+      const auto seq = get_be<std::uint64_t>(reader.data() + 4);
+      const std::size_t len = get_be<std::uint32_t>(reader.data() + 12);
       const std::size_t size = kRecordHeaderBytes + len + kRecordFooterBytes;
       if (len > kMaxPayloadBytes || !reader.fill(size)) {
         scan.truncated_tail = true;
@@ -349,7 +293,8 @@ WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
           monitor::hash_envelope({bytes + 4, 12 + len}, 12);
       const bool deliver =
           seq >= from_seq && (!any_delivered || seq > scan.last_seq);
-      if (hashes.h64 != read_u64(bytes + kRecordHeaderBytes + len, 8) ||
+      if (hashes.h64 !=
+              get_be<std::uint64_t>(bytes + kRecordHeaderBytes + len) ||
           !monitor::check_packet({bytes + kRecordHeaderBytes, len},
                                  hashes.h32,
                                  deliver ? &record.snapshot : nullptr)) {

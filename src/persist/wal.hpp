@@ -6,15 +6,16 @@
 // recovery replays the tail of the log through the identical
 // classify+ingest arithmetic and lands on bit-identical state.
 //
-// On-disk layout (one directory, segment files `wal-<8-digit seq>.seg`):
+// On-disk layout (one directory, segment files `wal-<16-hex first
+// seq>.seg`, named by common::SeqFileName):
 //
 //   "appclass-wal v1\n"                      segment header (text)
-//   repeated records, each big-endian binary:
+//   repeated records, each big-endian binary (common/codec.hpp):
 //     u32  magic 'WALR'
 //     u64  sequence number (monotonic across segments)
 //     u32  payload length
 //     ...  payload = monitor::encode_packet(snapshot)
-//     u64  FNV-1a-64 over seq|len|payload   (the serialize.cpp footer
+//     u64  FNV-1a-64 over seq|len|payload   (the model-file footer
 //                                            idiom, applied per record)
 //
 // A reader stops at the first invalid record: a torn final record is the

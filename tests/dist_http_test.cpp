@@ -130,6 +130,25 @@ TEST(DistHttpTest, BodyShorterThanContentLengthIsProtocolError) {
   EXPECT_TRUE(result.body.empty());
 }
 
+TEST(DistHttpTest, MalformedContentLengthIsProtocolError) {
+  // Each value would once have passed the short-body guard: strtoull read
+  // "abc" and "" as 0 and "12abc" as 12, and accepted a sign.
+  for (const char* value : {"abc", "", "12abc", "+12", "0x0c", "12 12"}) {
+    CannedServer server(std::string("HTTP/1.1 200 OK\r\nContent-Length: ") +
+                        value + "\r\n\r\nhello world!");
+    const HttpResult result = http_get_ex("127.0.0.1", server.port(), "/x");
+    EXPECT_EQ(result.error, HttpError::kProtocol) << value;
+    EXPECT_TRUE(result.body.empty()) << value;
+  }
+}
+
+TEST(DistHttpTest, ContentLengthMayCarryOptionalWhitespace) {
+  CannedServer server("HTTP/1.1 200 OK\r\nContent-Length:\t 5 \r\n\r\nhello");
+  const HttpResult result = http_get_ex("127.0.0.1", server.port(), "/x");
+  EXPECT_EQ(result.error, HttpError::kOk);
+  EXPECT_EQ(result.body, "hello");
+}
+
 TEST(DistHttpTest, ChunkedTransferEncodingIsRejectedNotMisparsed) {
   CannedServer server(
       "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"

@@ -271,6 +271,59 @@ TEST(ModelHealth, DegradedNodeFlipsStatusTo503Verdict) {
   EXPECT_TRUE(health.status().healthy);
 }
 
+TEST(ModelHealth, EveryDegradedOverflowedNodeCounts) {
+  // Nodes n0..n7 keep their own cards; n8 and n9 share "other". Each
+  // degraded overflowed node counts once, whichever of them records last.
+  obs::ModelHealthOptions options = small_health_options();
+  options.top_nodes = 8;
+  obs::ModelHealth health(options);
+  for (const char* node : {"n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"})
+    health.record(make_sample(node, 0));
+  const obs::Gauge& gauge =
+      obs::MetricsRegistry::global().gauge("appclass_health_degraded_nodes");
+  const auto degraded = [](std::string_view node) {
+    obs::HealthSample sample = make_sample(node, 0);
+    sample.coverage = 0.25;
+    sample.degraded = sample.abstained = true;
+    return sample;
+  };
+  const auto expect_degraded = [&](std::size_t count) {
+    const obs::ModelHealth::Status status = health.status();
+    EXPECT_EQ(status.degraded_nodes, count) << status.reason_json;
+    EXPECT_EQ(gauge.value(), static_cast<double>(count));
+    EXPECT_EQ(status.reason_json.find("\"node\":\"other\"") !=
+                  std::string::npos,
+              count > 0)
+        << status.reason_json;
+  };
+
+  // Through handles, as the online classifier records.
+  obs::ModelHealth::NodeHandle n8 = health.resolve("n8");
+  obs::ModelHealth::NodeHandle n9 = health.resolve("n9");
+  health.record(degraded("n8"), n8);
+  expect_degraded(1);
+  health.record(make_sample("n9", 0), n9);
+  expect_degraded(1);
+  health.record(degraded("n9"), n9);
+  expect_degraded(2);
+  health.record(degraded("n9"), n9);
+  expect_degraded(2);
+  // A handle resolved again (the classifier's state re-imported) still
+  // knows n8 is degraded, so its recovery is counted once.
+  n8 = health.resolve("n8");
+  health.record(make_sample("n8", 0), n8);
+  expect_degraded(1);
+  health.record(make_sample("n8", 0), n8);
+  expect_degraded(1);
+  // By node ip, which resolves afresh on every sample.
+  health.record(degraded("n8"));
+  expect_degraded(2);
+  health.record(make_sample("n8", 0));
+  health.record(make_sample("n9", 0), n9);
+  expect_degraded(0);
+  EXPECT_TRUE(health.status().healthy);
+}
+
 TEST(ModelHealth, NovelFractionTracksRollingWindow) {
   obs::ModelHealth health(small_health_options());  // novel_window = 4
   obs::HealthSample novel = make_sample("n1", 0);
