@@ -95,17 +95,14 @@ ModelHealth::NodeStats& ModelHealth::node_stats_locked(
 
 ModelHealth::NodeHandle ModelHealth::resolve(std::string_view node_ip) {
   const std::lock_guard lock(mutex_);
-  // The set holds overflowed nodes only: an admitted node's own card
-  // carries its degraded flag.
-  return {&node_stats_locked(node_ip), degraded_overflowed_.contains(node_ip)};
+  return NodeHandle(&node_stats_locked(node_ip));
 }
 
 void ModelHealth::record(const HealthSample& sample) {
-  NodeHandle handle = resolve(sample.node_ip);
-  record(sample, handle);
+  record(sample, resolve(sample.node_ip));
 }
 
-void ModelHealth::record(const HealthSample& sample, NodeHandle& handle) {
+void ModelHealth::record(const HealthSample& sample, NodeHandle handle) {
   APPCLASS_EXPECTS(handle);
   const std::lock_guard lock(mutex_);
   ++samples_;
@@ -158,17 +155,17 @@ void ModelHealth::record(const HealthSample& sample, NodeHandle& handle) {
       degraded_nodes_ = sample.degraded ? degraded_nodes_ + 1
                                         : degraded_nodes_ - 1;
     node.degraded = sample.degraded;
-  } else if (handle.degraded_ != sample.degraded) {
+  } else {
     // The shared card stands for many nodes: it is degraded while any of
     // them is, and each one counts.
-    handle.degraded_ = sample.degraded;
-    degraded_nodes_ -= degraded_overflowed_.size();
-    if (sample.degraded)
+    const auto it = degraded_overflowed_.find(sample.node_ip);
+    if (sample.degraded && it == degraded_overflowed_.end()) {
       degraded_overflowed_.emplace(sample.node_ip);
-    else if (const auto it = degraded_overflowed_.find(sample.node_ip);
-             it != degraded_overflowed_.end())
+      ++degraded_nodes_;
+    } else if (!sample.degraded && it != degraded_overflowed_.end()) {
       degraded_overflowed_.erase(it);
-    degraded_nodes_ += degraded_overflowed_.size();
+      --degraded_nodes_;
+    }
     other_.degraded = !degraded_overflowed_.empty();
   }
   if (degraded_nodes_ != was_degraded)
@@ -293,9 +290,13 @@ ModelHealth::Status ModelHealth::status() const {
     append_escaped(degraded, name);
     degraded << ",\"coverage\":" << node.coverage << '}';
   };
-  for (const auto& [name, node] : nodes_) add(name, node);
+  for (const auto& [name, node] : nodes_) {
+    if (node.degraded) ++status.degraded_nodes;
+    add(name, node);
+  }
+  // "other" is listed once; each degraded overflowed node counts.
+  status.degraded_nodes += degraded_overflowed_.size();
   add(node_labels_.overflow_label(), other_);
-  status.degraded_nodes = degraded_nodes_;
   status.healthy = status.degraded_nodes == 0;
 
   std::ostringstream out;

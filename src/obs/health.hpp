@@ -88,9 +88,6 @@ class ModelHealth {
 
   /// A node's scorecard as resolve() decided it: the node's own card
   /// while it is admitted, the shared "other" card when it overflowed.
-  /// An overflowed node's handle also caches whether that node is
-  /// degraded, so record() touches the shared card's degraded set only
-  /// when the node flips; one handle at a time records for a node.
   /// Valid for the aggregator's lifetime; default-constructed = not yet
   /// resolved.
   class NodeHandle {
@@ -100,10 +97,8 @@ class ModelHealth {
 
    private:
     friend class ModelHealth;
-    NodeHandle(NodeStats* stats, bool degraded) noexcept
-        : stats_(stats), degraded_(degraded) {}
+    explicit NodeHandle(NodeStats* stats) noexcept : stats_(stats) {}
     NodeStats* stats_ = nullptr;
-    bool degraded_ = false;
   };
 
   /// Finds or admits `node_ip`'s card (first-K order; an overflowed node
@@ -115,11 +110,12 @@ class ModelHealth {
   void record(const HealthSample& sample);
 
   /// Feeds one sample into the card `node`, which this aggregator's
-  /// resolve() returned for sample.node_ip. One mutex and no lookup; the
-  /// node ip is read only when an overflowed node's degraded state flips.
-  /// No allocation once the drift reference is frozen, except when an
-  /// overflowed node turns degraded. Thread-safe.
-  void record(const HealthSample& sample, NodeHandle& node);
+  /// resolve() returned for sample.node_ip. One mutex; an admitted
+  /// node's sample does no lookup, an overflowed node's looks its ip up
+  /// in the set of degraded overflowed nodes. No allocation once the
+  /// drift reference is frozen, except when an overflowed node turns
+  /// degraded. Thread-safe.
+  void record(const HealthSample& sample, NodeHandle node);
 
   /// Fires once per drift rising edge (component index, PSI score); the
   /// hook a retraining loop subscribes to. Set before streaming.

@@ -308,16 +308,20 @@ TEST(ModelHealth, EveryDegradedOverflowedNodeCounts) {
   expect_degraded(2);
   health.record(degraded("n9"), n9);
   expect_degraded(2);
-  // A handle resolved again (the classifier's state re-imported) still
-  // knows n8 is degraded, so its recovery is counted once.
+  // A handle resolved again (the classifier's state re-imported) finds
+  // n8 degraded, so its recovery is counted once.
   n8 = health.resolve("n8");
   health.record(make_sample("n8", 0), n8);
   expect_degraded(1);
   health.record(make_sample("n8", 0), n8);
   expect_degraded(1);
-  // By node ip, which resolves afresh on every sample.
+  // By node ip, which resolves afresh on every sample, beside a handle
+  // still held for the same node: either path sees the other's flips.
   health.record(degraded("n8"));
   expect_degraded(2);
+  health.record(make_sample("n8", 0), n8);
+  expect_degraded(1);
+  health.record(degraded("n8"), n8);
   health.record(make_sample("n8", 0));
   health.record(make_sample("n9", 0), n9);
   expect_degraded(0);
@@ -404,8 +408,8 @@ TEST(ModelHealthHandles, HandlePathMatchesStringPath) {
   // "other". Each node's class rotates every 20 steps. Blackouts make
   // nodes abstain (degraded) and recover: node 1 (admitted) and node 7
   // (overflowed) mid-run, node 2 (admitted) and node 9 (overflowed) at
-  // the end, so both cards end degraded ("other" shows its last sample,
-  // which is node 9's, and flips on every step while node 9 abstains).
+  // the end, so both cards end degraded ("other" is degraded while any
+  // overflowed node is).
   constexpr std::size_t kNodes = 10;
   constexpr std::size_t kSteps = 60;
   constexpr std::size_t kImportAt = 34;  // node 7 degraded in "other"
