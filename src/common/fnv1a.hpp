@@ -1,9 +1,10 @@
-// FNV-1a (Fowler-Noll-Vo, variant 1a): the one hash behind every checksum
-// and hash ring in the repo.
+// FNV-1a (Fowler-Noll-Vo, variant 1a): the hash behind the consistent-hash
+// ring and every checksum except WAL v2's (common/crc32c.hpp).
 //
-// FNV-1a-64 seals WAL records, dist frames, checkpoints and model files and
-// places shards on the consistent-hash ring; FNV-1a-32 seals monitor
-// packets. A WAL record and a dist frame each carry a monitor packet, so
+// FNV-1a-64 seals dist frames (ASNP, ASNH), checkpoints, model files and
+// the records of `appclass-wal v1` segments, which the WAL reader still
+// accepts, and places shards on the ring; FNV-1a-32 seals APMC version 1
+// packets. A v1 WAL record and a dist frame each carry such a packet, so
 // reading one checks both hashes over the same bytes. `fnv1a_fused`
 // advances both in one loop: the two multiply chains do not depend on each
 // other, so the CPU overlaps them and the packet hash costs almost nothing

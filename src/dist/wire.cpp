@@ -44,18 +44,21 @@ std::vector<std::uint8_t> encode_frame(const metrics::Snapshot& snapshot,
                                        std::uint64_t seq,
                                        const obs::TraceContext& trace,
                                        std::uint64_t announce_us) {
-  const std::vector<std::uint8_t> payload = monitor::encode_packet(snapshot);
-  APPCLASS_EXPECTS(!payload.empty() && payload.size() <= kMaxFramePayload);
+  const std::size_t payload_size =
+      monitor::packet_size(snapshot.node_ip.size());
+  APPCLASS_EXPECTS(payload_size <= kMaxFramePayload);
   std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + payload.size() + 8);
+  out.reserve(kFrameHeaderBytes + payload_size + 8);
   put_be(out, kFrameMagic);
   out.push_back(kWireVersion);
   put_be(out, seq);
   put_be(out, trace.trace_id);
   put_be(out, trace.span_id);
   put_be(out, announce_us);
-  put_be(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  put_be(out, static_cast<std::uint32_t>(payload_size));
+  out.resize(kFrameHeaderBytes + payload_size);
+  monitor::write_packet(out.data() + kFrameHeaderBytes, snapshot,
+                        monitor::PacketVersion::kV1);
   // Checksum covers version..payload — everything after the magic.
   put_be(out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
   return out;
@@ -99,7 +102,8 @@ DecodeStatus FrameDecoder::next(Frame& out) {
       {p + 4, kFrameHeaderBytes + payload_len - 4}, kFrameHeaderBytes - 4);
   if (hashes.h64 != checksum) return DecodeStatus::kBadChecksum;
   if (!monitor::check_packet({p + kFrameHeaderBytes, payload_len},
-                             hashes.h32, &out.snapshot))
+                             monitor::PacketVersion::kV1, hashes.h32,
+                             &out.snapshot))
     return DecodeStatus::kBadPayload;
 
   out.seq = get_be<std::uint64_t>(p + 5);

@@ -11,6 +11,7 @@
 
 #include "common/assert.hpp"
 #include "common/codec.hpp"
+#include "common/crc32c.hpp"
 #include "common/fnv1a.hpp"
 #include "common/fs.hpp"
 #include "common/seq_file.hpp"
@@ -21,22 +22,59 @@
 namespace appclass::persist {
 namespace {
 
-constexpr std::string_view kSegmentHeader = "appclass-wal v1\n";
 constexpr std::uint32_t kRecordMagic = 0x57414C52;  // "WALR"
 constexpr common::SeqFileName kSegmentName{"wal-", ".seg"};
 /// kNever flushes to the OS at this buffer size (memory bound, no fsync).
 constexpr std::size_t kNeverPolicyFlushBytes = 256 * 1024;
 /// magic + seq + payload length, then the payload, then the checksum.
 constexpr std::size_t kRecordHeaderBytes = 4 + 8 + 4;
-constexpr std::size_t kRecordFooterBytes = 8;
 /// A payload is one monitor packet, so a longer length is corruption.
 constexpr std::size_t kMaxPayloadBytes =
     monitor::packet_size(monitor::kMaxNodeIpLength);
-static_assert(kRecordHeaderBytes + kMaxPayloadBytes + kRecordFooterBytes <=
+
+/// What a segment's header line fixes for every record in it.
+struct SegmentFormat {
+  std::string_view header;
+  std::size_t footer_bytes;  ///< the record checksum
+  monitor::PacketVersion packet;
+};
+/// Read only: FNV-1a-64 records holding APMC v1 packets.
+constexpr SegmentFormat kFormatV1{"appclass-wal v1\n", 8,
+                                  monitor::PacketVersion::kV1};
+/// Written and read: CRC32C records holding APMC v2 packets.
+constexpr SegmentFormat kFormatV2{"appclass-wal v2\n", 4,
+                                  monitor::PacketVersion::kV2};
+constexpr std::size_t kSegmentHeaderBytes = kFormatV2.header.size();
+static_assert(kFormatV1.header.size() == kSegmentHeaderBytes);
+static_assert(kRecordHeaderBytes + kMaxPayloadBytes + kFormatV1.footer_bytes <=
               kWalReadChunkBytes);
 
 using common::get_be;
-using common::put_be;
+using common::store_be;
+
+/// Checks the record at `bytes`, whose payload is `len` bytes, in one
+/// segment format: the record checksum, then every check of the packet it
+/// holds, its own checksum included. When `out` is non-null a valid
+/// packet is decoded into it.
+bool check_record(const std::uint8_t* bytes, std::size_t len,
+                  const SegmentFormat& format, metrics::Snapshot* out) {
+  const std::span<const std::uint8_t> sealed(bytes + 4, 12 + len);
+  const std::span<const std::uint8_t> packet(bytes + kRecordHeaderBytes, len);
+  const std::uint8_t* footer = packet.data() + len;
+  if (format.packet == monitor::PacketVersion::kV1) {
+    // One pass yields the record's FNV-1a-64 and the packet's FNV-1a-32.
+    const common::Fnv1aLanes hashes = monitor::hash_envelope(sealed, 12);
+    return hashes.h64 == get_be<std::uint64_t>(footer) &&
+           monitor::check_packet(packet, format.packet, hashes.h32, out);
+  }
+  return common::crc32c(sealed) == get_be<std::uint32_t>(footer) &&
+         len >= monitor::kPacketBodyOffset &&
+         monitor::check_packet(
+             packet, format.packet,
+             monitor::packet_body_checksum(
+                 packet.subspan(monitor::kPacketBodyOffset), format.packet),
+             out);
+}
 
 /// Sequential reader over one segment file through a caller-owned buffer
 /// of kWalReadChunkBytes: a record cut by a chunk boundary is moved to the
@@ -143,8 +181,8 @@ void WalWriter::open_segment() {
   fd_ = ::open(segment_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd_ < 0) common::throw_errno("cannot open WAL segment:", segment_path_);
   segment_first_seq_ = next_seq_;
-  buffer_.assign(kSegmentHeader);
-  segment_bytes_ = kSegmentHeader.size();
+  buffer_.assign(kFormatV2.header);
+  segment_bytes_ = kSegmentHeaderBytes;
   unsynced_records_ = 0;
 }
 
@@ -166,10 +204,11 @@ std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
     throw std::runtime_error("WAL writer is closed: " + segment_path_);
   const obs::TraceSpan span("wal_append", &append_seconds_);
 
-  const std::vector<std::uint8_t> payload = monitor::encode_packet(snapshot);
-  const std::size_t record_size = 4 + 8 + 4 + payload.size() + 8;
+  const std::size_t len = monitor::packet_size(snapshot.node_ip.size());
+  const std::size_t record_size =
+      kRecordHeaderBytes + len + kFormatV2.footer_bytes;
   if (segment_bytes_ + record_size > options_.max_segment_bytes &&
-      segment_bytes_ > kSegmentHeader.size()) {
+      segment_bytes_ > kSegmentHeaderBytes) {
     // Rotate: the outgoing segment is flushed AND fsynced, so only the
     // active segment can ever lose records to a crash.
     flush_buffer();
@@ -178,18 +217,19 @@ std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
     open_segment();
   }
 
+  // The record is written in place at the end of the buffer, whose
+  // capacity outlives flushes: a steady-state append allocates nothing.
   const std::uint64_t seq = next_seq_++;
-  const std::size_t body_start = buffer_.size() + 4;  // after the magic
-  put_be(buffer_, kRecordMagic);
-  put_be(buffer_, seq);
-  put_be(buffer_, static_cast<std::uint32_t>(payload.size()));
-  buffer_.append(reinterpret_cast<const char*>(payload.data()),
-                 payload.size());
-  const std::uint64_t checksum =
-      common::fnv1a64(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(buffer_.data()) + body_start,
-          buffer_.size() - body_start));
-  put_be(buffer_, checksum);
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + record_size);
+  std::uint8_t* record = reinterpret_cast<std::uint8_t*>(buffer_.data()) + at;
+  store_be(record, kRecordMagic);
+  store_be(record + 4, seq);
+  store_be(record + 12, static_cast<std::uint32_t>(len));
+  monitor::write_packet(record + kRecordHeaderBytes, snapshot,
+                        kFormatV2.packet);
+  store_be(record + kRecordHeaderBytes + len,
+           common::crc32c({record + 4, 12 + len}));
   segment_bytes_ += record_size;
   ++appended_;
   ++unsynced_records_;
@@ -256,15 +296,20 @@ WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
   for (const std::string& path : wal_segments(dir)) {
     ++scan.segments;
     SegmentReader reader(path, buffer.get());
-    if (!reader.fill(kSegmentHeader.size()) ||
-        std::memcmp(reader.data(), kSegmentHeader.data(),
-                    kSegmentHeader.size()) != 0) {
+    const SegmentFormat* format = nullptr;
+    if (reader.fill(kSegmentHeaderBytes)) {
+      const std::string_view header(
+          reinterpret_cast<const char*>(reader.data()), kSegmentHeaderBytes);
+      if (header == kFormatV2.header) format = &kFormatV2;
+      if (header == kFormatV1.header) format = &kFormatV1;
+    }
+    if (format == nullptr) {
       scan.truncated_tail = true;
       if (!reader.failed())
         APPCLASS_LOG_WARN("wal.bad_segment_header", {"segment", path});
       continue;
     }
-    reader.consume(kSegmentHeader.size());
+    reader.consume(kSegmentHeaderBytes);
     // Records until EOF or the first torn/corrupt one. A tear terminates
     // this segment only: later segments were written by a post-recovery
     // process that had already accepted the loss.
@@ -280,24 +325,18 @@ WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
       }
       const auto seq = get_be<std::uint64_t>(reader.data() + 4);
       const std::size_t len = get_be<std::uint32_t>(reader.data() + 12);
-      const std::size_t size = kRecordHeaderBytes + len + kRecordFooterBytes;
+      const std::size_t size =
+          kRecordHeaderBytes + len + format->footer_bytes;
       if (len > kMaxPayloadBytes || !reader.fill(size)) {
         scan.truncated_tail = true;
         break;
       }
-      // One pass over seq|len|payload yields the record checksum and the
-      // packet's body hash; every check runs on every record, but only a
-      // delivered record is decoded.
-      const std::uint8_t* bytes = reader.data();
-      const common::Fnv1aLanes hashes =
-          monitor::hash_envelope({bytes + 4, 12 + len}, 12);
+      // Every check runs on every record, but only a delivered record is
+      // decoded.
       const bool deliver =
           seq >= from_seq && (!any_delivered || seq > scan.last_seq);
-      if (hashes.h64 !=
-              get_be<std::uint64_t>(bytes + kRecordHeaderBytes + len) ||
-          !monitor::check_packet({bytes + kRecordHeaderBytes, len},
-                                 hashes.h32,
-                                 deliver ? &record.snapshot : nullptr)) {
+      if (!check_record(reader.data(), len, *format,
+                        deliver ? &record.snapshot : nullptr)) {
         scan.truncated_tail = true;
         break;
       }

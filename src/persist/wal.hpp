@@ -9,21 +9,28 @@
 // On-disk layout (one directory, segment files `wal-<16-hex first
 // seq>.seg`, named by common::SeqFileName):
 //
-//   "appclass-wal v1\n"                      segment header (text)
+//   "appclass-wal v2\n"                      segment header (text)
 //   repeated records, each big-endian binary (common/codec.hpp):
 //     u32  magic 'WALR'
 //     u64  sequence number (monotonic across segments)
 //     u32  payload length
-//     ...  payload = monitor::encode_packet(snapshot)
-//     u64  FNV-1a-64 over seq|len|payload   (the model-file footer
-//                                            idiom, applied per record)
+//     ...  payload = APMC version 2 packet (monitor::write_packet)
+//     u32  CRC32C over seq|len|payload      (common/crc32c.hpp)
+//
+// The writer encodes each record straight into its buffer, so a
+// steady-state append allocates nothing. The reader also accepts
+// "appclass-wal v1\n" segments, choosing per segment from the header
+// line: a v1 record ends in a u64 FNV-1a-64 instead of the CRC32C and
+// holds an APMC version 1 packet. The segment format fixes the packet
+// version; any other pairing is corruption.
 //
 // A reader stops at the first invalid record: a torn final record is the
 // normal artifact of SIGKILL mid-append and is reported, not fatal.
 // Replay reads each segment through one buffer of kWalReadChunkBytes, so
-// its memory is bounded by that chunk, not by the segment size. One pass
-// over each record checks the record checksum and the packet's own
-// checksum together; only records that are delivered are decoded.
+// its memory is bounded by that chunk, not by the segment size. Every
+// record's checksum and its packet's own checksum are both checked (a
+// record checksum recomputed over a corrupt packet must not let it
+// through); only records that are delivered are decoded.
 // Segments rotate at a size threshold so checkpointing can prune whole
 // files below the checkpoint horizon.
 //

@@ -191,6 +191,22 @@ TEST(DistWire, ValidChecksumOverGarbagePayloadIsBadPayload) {
   EXPECT_EQ(decoder.next(frame), DecodeStatus::kBadPayload);
 }
 
+TEST(DistWire, SealedFrameHoldingAVersion2PacketIsBadPayload) {
+  // Frames carry APMC version 1 packets; a well-formed version 2 packet
+  // (the WAL v2 payload) under a valid frame checksum is still rejected.
+  auto bytes = encode_frame(sample_snapshot(), 5, {});
+  const auto v2 = monitor::encode_packet(sample_snapshot(),
+                                         monitor::PacketVersion::kV2);
+  ASSERT_EQ(v2.size(), bytes.size() - kFrameHeaderBytes - 8);
+  std::memcpy(bytes.data() + kFrameHeaderBytes, v2.data(), v2.size());
+  put_u64_be(bytes.data() + bytes.size() - 8,
+             fnv1a64(bytes.data() + 4, bytes.size() - 4 - 8));
+  FrameDecoder decoder;
+  decoder.append(bytes);
+  Frame frame;
+  EXPECT_EQ(decoder.next(frame), DecodeStatus::kBadPayload);
+}
+
 TEST(DistWire, BadMagicIsUnrecoverable) {
   auto bytes = encode_frame(sample_snapshot(), 5, {});
   bytes[0] ^= 0xFF;

@@ -6,10 +6,7 @@
 // heap zero times, with and without model health attached.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,79 +14,17 @@
 #include "core/online.hpp"
 #include "core/pipeline.hpp"
 #include "core_test_util.hpp"
+#include "counting_allocator.hpp"
 #include "engine/fleet.hpp"
 #include "engine/snapshot_ring.hpp"
 #include "monitor/bus.hpp"
 #include "obs/cardinality.hpp"
 #include "obs/health.hpp"
 
-// ---------------------------------------------------------------------------
-// Global allocation counter. Every operator-new form funnels through
-// malloc here so the tests below can assert "this region performed N
-// heap allocations" — the only reliable way to keep the zero-allocation
-// claim from regressing one vector at a time.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, size ? size : align) != 0)
-    throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-// ---------------------------------------------------------------------------
-
 namespace appclass {
 namespace {
 
 using engine::SnapshotRing;
-
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 metrics::Snapshot grid_snapshot(core::ApplicationClass cls, std::uint64_t seed,
                                 metrics::SimTime t,

@@ -3,6 +3,7 @@
 // recorded. They go through public entry points only, so the same file
 // compiles against any revision of the encoders; a refactor that moves a
 // single byte of any format fails here.
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,15 @@ std::string hex(const std::string& bytes) {
               bytes.size()});
 }
 
+/// The bytes a lower-case hex string spells.
+std::string unhex(std::string_view text) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < text.size(); i += 2)
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(text.substr(i, 2)), nullptr, 16)));
+  return out;
+}
+
 /// `n` zero doubles (eight zero bytes each), as hex.
 std::string zero_doubles(std::size_t n) { return std::string(16 * n, '0'); }
 
@@ -63,6 +73,13 @@ const std::string kPacketHex =
     zero_doubles(19) + "413312d000000000" +  // bytes_in 1.25e6
     zero_doubles(11) + "bfe0000000000000";   // swap_out -0.5
 
+/// The APMC version 2 packet of fixed_snapshot(): kPacketHex's body under
+/// a CRC32C body checksum.
+const std::string kPacketV2Hex = std::string("41504d43"   // magic 'APMC'
+                                             "0002"       // version
+                                             "003aa013")  // CRC32C
+                                 + kPacketHex.substr(20);
+
 class TempDir : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -76,6 +93,16 @@ class TempDir : public ::testing::Test {
 
 TEST(KnownAnswer, ApmcPacket) {
   EXPECT_EQ(hex(monitor::encode_packet(fixed_snapshot())), kPacketHex);
+}
+
+TEST(KnownAnswer, ApmcPacketV2) {
+  EXPECT_EQ(hex(monitor::encode_packet(fixed_snapshot(),
+                                       monitor::PacketVersion::kV2)),
+            kPacketV2Hex);
+  const auto decoded = monitor::decode_packet(
+      monitor::encode_packet(fixed_snapshot(), monitor::PacketVersion::kV2));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(hex(monitor::encode_packet(*decoded)), kPacketHex);
 }
 
 TEST(KnownAnswer, AsnpFrame) {
@@ -120,17 +147,41 @@ TEST_F(KnownAnswerFiles, OneRecordWalSegmentAndItsName) {
   const std::string path = dir + "/wal-000000000000002a.seg";
   EXPECT_EQ(persist::wal_segments(dir), std::vector<std::string>{path});
   EXPECT_EQ(hex(common::read_file_or_throw(path)),
-            "617070636c6173732d77616c2076310a"  // "appclass-wal v1\n"
+            "617070636c6173732d77616c2076320a"  // "appclass-wal v2\n"
             "57414c52"                          // record magic 'WALR'
             "000000000000002a"                  // seq 42
             "00000124" +                        // payload length 292
-                kPacketHex +
-                "d0d9a458e1bdbb8b");  // FNV-1a-64 over seq|len|payload
+                kPacketV2Hex +
+                "daf60a51");  // CRC32C over seq|len|payload
   std::vector<std::uint64_t> seqs;
   persist::replay_wal(dir, 0, [&](const persist::WalRecord& r) {
     seqs.push_back(r.seq);
   });
   EXPECT_EQ(seqs, std::vector<std::uint64_t>{42});
+}
+
+TEST_F(KnownAnswerFiles, V1OneRecordWalSegmentStillReplays) {
+  // The segment an `appclass-wal v1` writer left, byte for byte.
+  const std::string dir = root_ + "/wal";
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  common::atomic_write_file(
+      dir + "/wal-000000000000002a.seg",
+      unhex("617070636c6173732d77616c2076310a"  // "appclass-wal v1\n"
+            "57414c52"                          // record magic 'WALR'
+            "000000000000002a"                  // seq 42
+            "00000124" +                        // payload length 292
+            kPacketHex +
+            "d0d9a458e1bdbb8b"));  // FNV-1a-64 over seq|len|payload
+  std::vector<std::uint64_t> seqs;
+  std::vector<std::string> packets;
+  const persist::WalScan scan =
+      persist::replay_wal(dir, 0, [&](const persist::WalRecord& r) {
+        seqs.push_back(r.seq);
+        packets.push_back(hex(monitor::encode_packet(r.snapshot)));
+      });
+  EXPECT_FALSE(scan.truncated_tail);
+  EXPECT_EQ(seqs, std::vector<std::uint64_t>{42});
+  EXPECT_EQ(packets, std::vector<std::string>{kPacketHex});
 }
 
 persist::CheckpointData fixed_checkpoint() {

@@ -150,11 +150,11 @@ TEST(Wire, CheckPacketWithoutTargetDecidesLikeDecode) {
   const auto packet = encode_packet(sample_snapshot());
   const std::uint32_t body = common::fnv1a32(
       std::span<const std::uint8_t>(packet).subspan(kPacketBodyOffset));
-  EXPECT_TRUE(check_packet(packet, body));
-  EXPECT_FALSE(check_packet(packet, body ^ 1u));
+  EXPECT_TRUE(check_packet(packet, PacketVersion::kV1, body));
+  EXPECT_FALSE(check_packet(packet, PacketVersion::kV1, body ^ 1u));
   auto long_ip = packet;
   long_ip[18] = 0xff;  // node-IP length over the cap
-  EXPECT_FALSE(check_packet(long_ip, common::fnv1a32(
+  EXPECT_FALSE(check_packet(long_ip, PacketVersion::kV1, common::fnv1a32(
       std::span<const std::uint8_t>(long_ip).subspan(kPacketBodyOffset))));
 }
 

@@ -2,7 +2,8 @@
 // write-ahead logging them, is SIGKILLed at an arbitrary offset, and the
 // parent recovers from disk into state bit-identical to a process that
 // never died — at several distinct kill offsets, with and without a
-// mid-stream checkpoint, under each fsync policy's documented loss bound.
+// mid-stream checkpoint, under each fsync policy's documented loss bound,
+// and across the upgrade from an `appclass-wal v1` log to v2 appends.
 #include "persist/recovery.hpp"
 
 #include <signal.h>
@@ -20,6 +21,7 @@
 #include "core_test_util.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/wal.hpp"
+#include "wal_segment_fixture.hpp"
 
 namespace appclass::persist {
 namespace {
@@ -221,6 +223,69 @@ TEST_F(RecoveryTest, SecondCrashAfterRecoveryStillRecovers) {
 
   core::OnlineClassifier reference(pipeline_, kOptions);
   for (const auto& s : tail) ingest(reference, s);
+  EXPECT_EQ(state_image(recovered), state_image(reference));
+}
+
+TEST_F(RecoveryTest, V1TailThenV2AppendsSurviveSigkillBitIdentical) {
+  // A state dir an `appclass-wal v1` writer left: a checkpoint at 16 and
+  // a v1 WAL through seq 24. A child recovers it, resumes the log (now
+  // v2) at seq 25, ingests through seq 36 and is SIGKILLed; recovery
+  // then crosses from the v1 segment into the v2 one.
+  constexpr std::size_t kCheckpointAt = 16;
+  constexpr std::size_t kV1End = 25;
+  constexpr std::size_t kKillAt = 37;
+  const auto snapshots = make_stream(kKillAt);
+  {
+    core::OnlineClassifier online(pipeline_, kOptions);
+    for (std::size_t i = 0; i < kCheckpointAt; ++i)
+      ingest(online, snapshots[i]);
+    CheckpointData data;
+    data.wal_next = kCheckpointAt;
+    data.options = online.options();
+    data.online = online.export_state();
+    write_checkpoint(dir_ + "/checkpoints", data);
+  }
+  testing::write_wal_segment(
+      dir_ + "/wal", 0,
+      testing::wal_segment(
+          1, 0, {snapshots.begin(), snapshots.begin() + kV1End}));
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: no gtest assertions, no return — only SIGKILL.
+    core::OnlineClassifier online(pipeline_, kOptions);
+    const RecoveryReport report = recover(dir_, pipeline_, online);
+    WalWriter wal(dir_ + "/wal", {.fsync = FsyncPolicy::kAlways},
+                  report.wal_next_seq);
+    for (std::size_t i = report.wal_next_seq; i < kKillAt; ++i) {
+      wal.append(snapshots[i]);
+      ingest(online, snapshots[i]);
+    }
+    ::raise(SIGKILL);
+    ::_exit(127);  // unreachable
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+  const auto segments = wal_segments(dir_ + "/wal");
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(common::read_file_or_throw(segments[0]).substr(0, 16),
+            "appclass-wal v1\n");
+  EXPECT_EQ(common::read_file_or_throw(segments[1]).substr(0, 16),
+            "appclass-wal v2\n");
+
+  core::OnlineClassifier recovered(pipeline_, kOptions);
+  const RecoveryReport report = recover(dir_, pipeline_, recovered);
+  EXPECT_TRUE(report.checkpoint_loaded);
+  EXPECT_FALSE(report.wal_truncated);
+  EXPECT_EQ(report.replayed, kKillAt - kCheckpointAt);
+  EXPECT_EQ(report.wal_next_seq, kKillAt);
+
+  core::OnlineClassifier reference(pipeline_, kOptions);
+  for (const auto& s : snapshots) ingest(reference, s);
   EXPECT_EQ(state_image(recovered), state_image(reference));
 }
 

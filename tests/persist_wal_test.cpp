@@ -1,7 +1,9 @@
 // Write-ahead log: append/replay round trip, segment rotation, torn-tail
 // semantics, pruning, and the crash-loss bounds of each fsync policy
 // (simulate_crash models SIGKILL: written bytes survive in the page
-// cache, the user-space buffer vanishes).
+// cache, the user-space buffer vanishes). The writer writes `appclass-wal
+// v2`; `appclass-wal v1` segments, which the reader still accepts, are
+// laid down by the test-side builder in wal_segment_fixture.hpp.
 #include "persist/wal.hpp"
 
 #include <unistd.h>
@@ -15,10 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
+#include "common/crc32c.hpp"
 #include "common/fnv1a.hpp"
 #include "core_test_util.hpp"
+#include "counting_allocator.hpp"
 #include "monitor/wire.hpp"
 #include "obs/metrics.hpp"
+#include "wal_segment_fixture.hpp"
 
 namespace appclass::persist {
 namespace {
@@ -70,27 +76,48 @@ std::uint64_t be(const std::vector<std::uint8_t>& bytes, std::size_t at,
   return v;
 }
 
+/// Size of a segment's record checksum, from its header line
+/// ("appclass-wal v1\n" or "...v2\n"): FNV-1a-64 in v1, CRC32C in v2.
+std::size_t footer_bytes(const std::vector<std::uint8_t>& seg) {
+  return seg.at(14) == '1' ? 8 : 4;
+}
+
 /// Byte offset of every record in a segment (after the 16-byte header).
 std::vector<std::size_t> record_offsets(const std::vector<std::uint8_t>& seg) {
   std::vector<std::size_t> out;
   for (std::size_t pos = 16; pos + 16 <= seg.size();
-       pos += 16 + static_cast<std::size_t>(be(seg, pos + 12, 4)) + 8)
+       pos += 16 + static_cast<std::size_t>(be(seg, pos + 12, 4)) +
+              footer_bytes(seg))
     out.push_back(pos);
   return out;
 }
 
 /// Flips one byte inside the packet body of the record at `offset` and,
-/// when `reseal`, rewrites the record's FNV-1a-64 to match, so only the
-/// packet's own checksum still tells.
+/// when `reseal`, rewrites the record's checksum (v1: FNV-1a-64, v2:
+/// CRC32C) to match, so only the packet's own checksum still tells.
 void corrupt_packet(std::vector<std::uint8_t>& seg, std::size_t offset,
                     bool reseal) {
   const auto len = static_cast<std::size_t>(be(seg, offset + 12, 4));
   seg[offset + 16 + monitor::kPacketBodyOffset + 30] ^= 0x5a;
   if (!reseal) return;
-  const std::uint64_t sum = common::fnv1a64(
-      std::span<const std::uint8_t>(seg).subspan(offset + 4, 12 + len));
-  for (std::size_t i = 0; i < 8; ++i)
-    seg[offset + 16 + len + i] = static_cast<std::uint8_t>(sum >> (56 - 8 * i));
+  const auto sealed =
+      std::span<const std::uint8_t>(seg).subspan(offset + 4, 12 + len);
+  std::uint8_t* footer = seg.data() + offset + 16 + len;
+  if (footer_bytes(seg) == 8)
+    common::store_be(footer, common::fnv1a64(sealed));
+  else
+    common::store_be(footer, common::crc32c(sealed));
+}
+
+/// Replays a directory holding one corrupt record at `bad` (of 1,200 in
+/// one segment) and expects exactly the records before it.
+void expect_prefix_before(const std::string& dir, std::size_t bad) {
+  std::uint64_t delivered = 0;
+  const WalScan scan =
+      replay_wal(dir, 0, [&](const WalRecord&) { ++delivered; });
+  EXPECT_TRUE(scan.truncated_tail);
+  EXPECT_EQ(delivered, bad);
+  EXPECT_EQ(scan.last_seq, bad - 1);
 }
 
 TEST_F(WalTest, AppendReplayRoundTrip) {
@@ -332,25 +359,149 @@ TEST_F(WalTest, TornRecordPastTheFirstChunkDeliversExactlyThePrefix) {
 }
 
 TEST_F(WalTest, ResealedPacketCorruptionIsRejected) {
-  // The record checksum is valid again, so only the packet's FNV-1a-32,
-  // checked in the same pass, can catch the flipped byte.
+  // The record's CRC32C is valid again, so only the packet's own CRC32C,
+  // checked with it, can catch the flipped byte.
   {
     WalWriter wal(dir_);
     for (const auto& s : stream(1200)) wal.append(s);
   }
   const std::string segment = wal_segments(dir_).at(0);
   auto seg = read_bytes(segment);
+  ASSERT_EQ(footer_bytes(seg), 4u);
   const auto offsets = record_offsets(seg);
   constexpr std::size_t kBad = 900;
   corrupt_packet(seg, offsets[kBad], /*reseal=*/true);
   write_bytes(segment, seg);
+  expect_prefix_before(dir_, kBad);
+}
 
+TEST_F(WalTest, ResealedPacketCorruptionIsRejectedInV1Segment) {
+  // The same corruption in a v1 segment: the record's FNV-1a-64 is
+  // resealed, so only the packet's FNV-1a-32 can catch it.
+  auto seg = testing::wal_segment(1, 0, stream(1200));
+  const auto offsets = record_offsets(seg);
+  ASSERT_EQ(offsets.size(), 1200u);
+  constexpr std::size_t kBad = 900;
+  corrupt_packet(seg, offsets[kBad], /*reseal=*/true);
+  testing::write_wal_segment(dir_, 0, seg);
+  expect_prefix_before(dir_, kBad);
+}
+
+TEST_F(WalTest, EveryBitFlipOfAOneRecordSegmentIsRejected) {
+  {
+    WalWriter wal(dir_);
+    wal.append(stream(1)[0]);
+  }
+  const std::string segment = wal_segments(dir_).at(0);
+  const auto clean = read_bytes(segment);
+  // Header line, then 'WALR' | seq | len | 292-byte packet | CRC32C.
+  ASSERT_EQ(clean.size(), 16u + 16u + monitor::packet_size(8) + 4u);
+  std::size_t escaped = 0;
+  for (std::size_t bit = 0; bit < 8 * clean.size(); ++bit) {
+    auto seg = clean;
+    seg[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    write_bytes(segment, seg);
+    std::uint64_t delivered = 0;
+    const WalScan scan =
+        replay_wal(dir_, 0, [&](const WalRecord&) { ++delivered; });
+    if (delivered != 0 || !scan.truncated_tail) {
+      ADD_FAILURE() << "bit " << bit << " (byte " << bit / 8
+                    << ") delivered " << delivered << " record(s)";
+      if (++escaped > 10) break;
+    }
+  }
+  write_bytes(segment, clean);
   std::uint64_t delivered = 0;
-  const WalScan scan =
-      replay_wal(dir_, 0, [&](const WalRecord&) { ++delivered; });
-  EXPECT_TRUE(scan.truncated_tail);
-  EXPECT_EQ(delivered, kBad);
-  EXPECT_EQ(scan.last_seq, kBad - 1);
+  EXPECT_FALSE(replay_wal(dir_, 0, [&](const WalRecord&) {
+                 ++delivered;
+               }).truncated_tail);
+  EXPECT_EQ(delivered, 1u);
+}
+
+TEST_F(WalTest, EnvelopeFixesThePacketVersion) {
+  // A correctly sealed record whose packet is of the other version is
+  // corruption; each matched pairing is the control.
+  const metrics::Snapshot snapshot = stream(1)[0];
+  for (const int wal_version : {1, 2})
+    for (const auto packet_version :
+         {monitor::PacketVersion::kV1, monitor::PacketVersion::kV2}) {
+      std::filesystem::remove_all(dir_);
+      const std::string header = testing::wal_segment_header(wal_version);
+      std::vector<std::uint8_t> seg(header.begin(), header.end());
+      const auto record = testing::wal_record(
+          wal_version, 0, monitor::encode_packet(snapshot, packet_version));
+      seg.insert(seg.end(), record.begin(), record.end());
+      testing::write_wal_segment(dir_, 0, seg);
+
+      const bool matched =
+          static_cast<int>(packet_version) == wal_version;
+      std::uint64_t delivered = 0;
+      const WalScan scan =
+          replay_wal(dir_, 0, [&](const WalRecord&) { ++delivered; });
+      EXPECT_EQ(delivered, matched ? 1u : 0u) << wal_version;
+      EXPECT_EQ(scan.truncated_tail, !matched) << wal_version;
+    }
+}
+
+TEST_F(WalTest, V1SegmentsThenV2SegmentsReplayInSeqOrder) {
+  // An upgraded state dir: two v1 segments (seqs 0-4, 5-9), then a
+  // writer that resumes at seq 10 and rotates through v2 segments.
+  const auto snapshots = stream(20);
+  const auto slice = [&](std::size_t from, std::size_t to) {
+    return std::vector<metrics::Snapshot>(
+        snapshots.begin() + static_cast<std::ptrdiff_t>(from),
+        snapshots.begin() + static_cast<std::ptrdiff_t>(to));
+  };
+  testing::write_wal_segment(dir_, 0, testing::wal_segment(1, 0, slice(0, 5)));
+  testing::write_wal_segment(dir_, 5,
+                             testing::wal_segment(1, 5, slice(5, 10)));
+  {
+    WalWriter wal(dir_, {.max_segment_bytes = 1000}, 10);
+    for (std::size_t i = 10; i < 20; ++i)
+      EXPECT_EQ(wal.append(snapshots[i]), i);
+  }
+  const auto segments = wal_segments(dir_);
+  ASSERT_GE(segments.size(), 4u);
+  EXPECT_EQ(read_bytes(segments[1]).at(14), '1');
+  EXPECT_EQ(read_bytes(segments[2]).at(14), '2');
+
+  std::size_t next = 0;
+  const WalScan scan = replay_wal(dir_, 0, [&](const WalRecord& r) {
+    ASSERT_LT(next, snapshots.size());
+    EXPECT_EQ(r.seq, next);
+    EXPECT_EQ(monitor::encode_packet(r.snapshot),
+              monitor::encode_packet(snapshots[next]))
+        << next;
+    ++next;
+  });
+  EXPECT_FALSE(scan.truncated_tail);
+  EXPECT_EQ(scan.records, 20u);
+  EXPECT_EQ(scan.segments, segments.size());
+  EXPECT_EQ(next, 20u);
+
+  // A replay that starts inside the v1 tail crosses into v2 the same way.
+  std::vector<std::uint64_t> seqs;
+  replay_wal(dir_, 8, [&](const WalRecord& r) { seqs.push_back(r.seq); });
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{8, 9, 10, 11, 12, 13, 14, 15,
+                                              16, 17, 18, 19}));
+}
+
+TEST_F(WalTest, NeverPolicyAppendIsAllocationFree) {
+  // Each record is encoded straight into the writer's buffer, whose
+  // capacity survives a flush; warm past the first flush, then count.
+  const auto snapshots = stream(64);
+  WalWriter wal(dir_, {.fsync = FsyncPolicy::kNever});
+  for (std::size_t i = 0; i < 1000; ++i)
+    wal.append(snapshots[i % snapshots.size()]);
+  constexpr std::size_t kAppends = 2000;  // ~626 KB: two more flushes
+  const std::uint64_t before = allocations();
+  for (std::size_t i = 0; i < kAppends; ++i)
+    wal.append(snapshots[i % snapshots.size()]);
+  const std::uint64_t after = allocations();
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state append allocated " << (after - before)
+      << " times over " << kAppends << " appends";
+  EXPECT_EQ(wal_segments(dir_).size(), 1u);  // no rotation in the window
 }
 
 TEST_F(WalTest, CorruptRecordBelowFromSeqStillEndsItsSegment) {
