@@ -1,6 +1,5 @@
 #include "core/serialize.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -24,8 +23,7 @@ constexpr std::string_view kContext = "pipeline deserialization";
 
 std::string save_pipeline(const ClassificationPipeline& pipeline) {
   APPCLASS_EXPECTS(pipeline.trained());
-  std::ostringstream os;
-  os.precision(17);
+  common::TextWriter os;
 
   const Preprocessor& pre = pipeline.preprocessor();
   const Pca& pca = pipeline.pca();
@@ -63,7 +61,7 @@ std::string save_pipeline(const ClassificationPipeline& pipeline) {
       os << ' ' << knn.training_points()(i, c);
     os << '\n';
   }
-  return common::seal_text(os.str());
+  return std::move(os).seal();
 }
 
 ClassificationPipeline load_pipeline(const std::string& text) {
@@ -82,9 +80,9 @@ ClassificationPipeline load_pipeline(const std::string& text) {
   if (p == 0 || p > metrics::kMetricCount) in.fail("bad metric count");
   std::vector<metrics::MetricId> selected;
   for (std::size_t i = 0; i < p; ++i) {
-    const std::string name = in.word("truncated metric list");
+    const std::string_view name = in.word("truncated metric list");
     const auto id = metrics::find_metric(name);
-    if (!id) in.fail("unknown metric '" + name + "'");
+    if (!id) in.fail("unknown metric '" + std::string(name) + "'");
     selected.push_back(*id);
   }
   linalg::ColumnStats stats;
@@ -116,9 +114,9 @@ ClassificationPipeline load_pipeline(const std::string& text) {
 
   // --- knn ---
   in.expect_tag("knn");
-  const std::size_t n = in.read_size();
+  const std::size_t n = in.read_count();
   const std::size_t k = in.read_size();
-  const std::string metric_name = in.word("missing distance metric");
+  const std::string_view metric_name = in.word("missing distance metric");
   KnnOptions knn_options;
   knn_options.k = k;
   if (metric_name == "manhattan")
@@ -126,16 +124,16 @@ ClassificationPipeline load_pipeline(const std::string& text) {
   else if (metric_name == "euclidean")
     knn_options.metric = DistanceMetric::kEuclidean;
   else
-    in.fail("unknown distance metric '" + metric_name + "'");
+    in.fail("unknown distance metric '" + std::string(metric_name) + "'");
   if (n < k) in.fail("fewer training points than k");
 
   linalg::Matrix points(n, q);
   std::vector<ApplicationClass> labels;
   labels.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string label_name = in.word("truncated training set");
+    const std::string_view label_name = in.word("truncated training set");
     const auto label = class_from_string(label_name);
-    if (!label) in.fail("unknown class '" + label_name + "'");
+    if (!label) in.fail("unknown class '" + std::string(label_name) + "'");
     labels.push_back(*label);
     for (std::size_t c = 0; c < q; ++c) points(i, c) = in.read_double();
   }
@@ -144,9 +142,9 @@ ClassificationPipeline load_pipeline(const std::string& text) {
   // footer (v2) or end of file (v1). Anything else is a section this
   // build does not understand — loading would silently drop state, so
   // refuse loudly instead.
-  const std::string trailing = in.word();
+  const std::string_view trailing = in.word();
   if (!trailing.empty() && trailing != "checksum")
-    in.fail("unknown section '" + trailing +
+    in.fail("unknown section '" + std::string(trailing) +
             "' (file written by a newer format version?)");
 
   KnnClassifier knn(knn_options);

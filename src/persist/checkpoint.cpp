@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/fs.hpp"
@@ -19,9 +18,9 @@ constexpr std::string_view kMagic = "appclass-checkpoint v1";
 constexpr common::SeqFileName kFileName{"checkpoint-", ".ckpt"};
 
 core::ApplicationClass parse_class(common::TextReader& in,
-                                   const std::string& name) {
+                                   std::string_view name) {
   const auto label = core::class_from_string(name);
-  if (!label) in.fail("unknown class '" + name + "'");
+  if (!label) in.fail("unknown class '" + std::string(name) + "'");
   return *label;
 }
 
@@ -32,8 +31,7 @@ core::ApplicationClass read_class(common::TextReader& in) {
 }  // namespace
 
 std::string encode_checkpoint(const CheckpointData& data) {
-  std::ostringstream os;
-  os.precision(17);
+  common::TextWriter os;
   os << kMagic << '\n';
   os << "wal-next " << data.wal_next << '\n';
   os << "options " << data.options.sampling_interval_s << ' '
@@ -54,7 +52,7 @@ std::string encode_checkpoint(const CheckpointData& data) {
   }
   // Byte-count framing: the CSV is opaque payload, newlines included.
   os << "appdb " << data.appdb_csv.size() << '\n' << data.appdb_csv << '\n';
-  return common::seal_text(os.str());
+  return std::move(os).seal();
 }
 
 CheckpointData decode_checkpoint(const std::string& text) {
@@ -80,7 +78,7 @@ CheckpointData decode_checkpoint(const std::string& text) {
   in.expect_tag("online");
   data.online.classified = in.read_size();
   data.online.abstained = in.read_size();
-  const std::size_t node_count = in.read_size();
+  const std::size_t node_count = in.read_count();
   data.online.nodes.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
     in.expect_tag("node");
@@ -88,11 +86,11 @@ CheckpointData decode_checkpoint(const std::string& text) {
     node.node_ip = in.word("truncated node id");
     node.first_time = in.read_ll();
     node.coverage = in.read_double();
-    const std::string stable = in.word("truncated stable class");
+    const std::string_view stable = in.word("truncated stable class");
     if (stable != "-") node.stable_class = parse_class(in, stable);
     node.candidate = read_class(in);
     node.candidate_streak = in.read_size();
-    const std::size_t window = in.read_size();
+    const std::size_t window = in.read_count();
     node.window.reserve(window);
     for (std::size_t w = 0; w < window; ++w) {
       const metrics::SimTime time = in.read_ll();

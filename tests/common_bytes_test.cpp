@@ -1,15 +1,23 @@
 // The shared encodings in src/common: big-endian fields, 16-digit hex,
 // decimal counts, sequence-numbered file names and checksum-sealed text,
-// each at its edges (0 and UINT64_MAX, wrong widths, wrong case).
+// each at its edges (0 and UINT64_MAX, wrong widths, wrong case), and the
+// number grammar of sealed text files, bit for bit.
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -176,6 +184,155 @@ TEST(CommonBytes, TextReaderPayloadIsByteCounted) {
   TextReader cut("blob 9\nshort", "ckpt");
   cut.expect_tag("blob");
   EXPECT_THROW(cut.payload(cut.read_size(), "cut"), std::runtime_error);
+}
+
+/// `v` and its bit pattern, for failure messages that must tell -0 from 0.
+std::string describe(double v) {
+  std::ostringstream os;
+  os.precision(17);
+  os << v << " (bits " << std::hex << std::bit_cast<std::uint64_t>(v) << ')';
+  return os.str();
+}
+
+TEST(CommonBytes, TextReaderReadsEveryFiniteDoubleBackBitForBit) {
+  std::vector<double> values = {0.0,     -0.0,     DBL_TRUE_MIN, -DBL_TRUE_MIN,
+                                DBL_MIN, -DBL_MIN, DBL_MAX,      -DBL_MAX,
+                                1.0 / 3, 0.1,      93.5,         -0.5};
+  std::mt19937_64 bits(20260419);
+  while (values.size() < 100'000 + 12) {
+    const double v = std::bit_cast<double>(bits());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  TextWriter out;
+  out << "doubles " << values.size() << '\n';
+  for (const double v : values) out << v << '\n';
+  const std::string text = std::move(out).seal();
+
+  TextReader in(text, "test");
+  in.expect_tag("doubles");
+  ASSERT_EQ(in.read_count(), values.size());
+  for (const double v : values) {
+    const double back = in.read_double();
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(v))
+        << describe(v) << " came back as " << describe(back);
+  }
+  in.expect_tag("checksum");
+}
+
+TEST(CommonBytes, TextWriterSpellsDoublesAsAnOstreamAtPrecision17) {
+  // The bytes of every model and checkpoint written before TextWriter
+  // came from an ostringstream at precision(17); they must not move.
+  std::vector<double> values = {0.0,     -0.0,     DBL_TRUE_MIN, DBL_MIN,
+                                DBL_MAX, -DBL_MAX, 1.0 / 3,      1e21,
+                                1e-5,    123456789012345678.0};
+  std::mt19937_64 bits(7);
+  std::uniform_real_distribution<double> plain(-1e6, 1e6);
+  while (values.size() < 10'000) {
+    // Half random bit patterns (every exponent), half everyday magnitudes.
+    const double v = values.size() % 2 ? plain(bits)
+                                       : std::bit_cast<double>(bits());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  std::ostringstream reference;
+  reference.precision(17);
+  TextWriter out;
+  for (const double v : values) {
+    reference << ' ' << v;
+    out << ' ' << v;
+  }
+  reference << ' ' << LLONG_MIN << ' ' << ULLONG_MAX << ' ' << 0 << ' '
+            << std::size_t{42} << ' ' << -7;
+  out << ' ' << LLONG_MIN << ' ' << ULLONG_MAX << ' ' << 0 << ' '
+      << std::size_t{42} << ' ' << -7;
+  EXPECT_EQ(std::move(out).seal(), seal_text(reference.str()));
+}
+
+TEST(CommonBytes, TextReaderReadsIntegerLimitsBack) {
+  TextWriter out;
+  out << LLONG_MIN << ' ' << LLONG_MAX << ' ' << -1LL << ' ' << 0LL << ' '
+      << std::uint64_t{0} << ' ' << UINT64_MAX << ' ' << LLONG_MAX << '\n';
+  const std::string text = std::move(out).seal();
+  TextReader in(text, "test");
+  EXPECT_EQ(in.read_ll(), LLONG_MIN);
+  EXPECT_EQ(in.read_ll(), LLONG_MAX);
+  EXPECT_EQ(in.read_ll(), -1);
+  EXPECT_EQ(in.read_ll(), 0);
+  EXPECT_EQ(in.read_u64(), 0u);
+  EXPECT_EQ(in.read_u64(), UINT64_MAX);
+  EXPECT_EQ(in.read_size(), static_cast<std::size_t>(LLONG_MAX));
+  in.expect_tag("checksum");
+}
+
+/// The message reading `token` as a number fails with, or "" when it
+/// reads.
+template <class Read>
+std::string rejection(std::string_view token, Read read) {
+  TextReader in(token, "ctx");
+  try {
+    read(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CommonBytes, TextReaderRejectsFormsTheWritersNeverEmit) {
+  const auto read_double = [](TextReader& in) { in.read_double(); };
+  const auto read_ll = [](TextReader& in) { in.read_ll(); };
+  const auto read_u64 = [](TextReader& in) { in.read_u64(); };
+  for (const std::string_view token :
+       {"1.5x", "+5", "+0.5", "0x10", "0x1p3", "1e400", "-1e400", "nan",
+        "NaN", "-nan", "nan(1)", "inf", "-INF", "Infinity", "infinity",
+        "-iNfInItY", ".", "-", "e5", "1,5"})
+    EXPECT_EQ(rejection(token, read_double),
+              "ctx: truncated number (found '" + std::string(token) + "')");
+  for (const std::string_view token :
+       {"12.5", "1e3", "+5", "0x10", "5x", "-", "9223372036854775808",
+        "-9223372036854775809"})
+    EXPECT_EQ(rejection(token, read_ll),
+              "ctx: truncated integer (found '" + std::string(token) + "')");
+  for (const std::string_view token :
+       {"-1", "-0", "+5", "12.5", "0x10", "18446744073709551616"})
+    EXPECT_EQ(rejection(token, read_u64),
+              "ctx: truncated integer (found '" + std::string(token) + "')");
+  // What the grammar does accept beyond the writers' own spelling.
+  EXPECT_EQ(rejection("1E5 -0 007 1e-320", [](TextReader& in) {
+              EXPECT_EQ(in.read_double(), 1e5);
+              EXPECT_TRUE(std::signbit(in.read_double()));
+              EXPECT_EQ(in.read_ll(), 7);
+              EXPECT_EQ(in.read_double(), 1e-320);
+            }),
+            "");
+}
+
+TEST(CommonBytes, TextReaderBoundsCountsByTheBytesLeft) {
+  TextReader fits("3 a b c", "ctx");
+  EXPECT_EQ(fits.read_count(), 3u);
+  EXPECT_EQ(rejection("1000000000000000 a", [](TextReader& in) {
+              in.read_count();
+            }),
+            "ctx: count 1000000000000000 exceeds the 2 bytes left");
+  // A payload longer than the text fails before anything is allocated.
+  EXPECT_EQ(rejection("blob 1000000000000000\nab", [](TextReader& in) {
+              in.expect_tag("blob");
+              in.payload(in.read_size(), "cut");
+            }),
+            "ctx: cut");
+}
+
+TEST(CommonBytes, TextReaderNeverOwnsItsText) {
+  static_assert(std::is_constructible_v<TextReader, const std::string&,
+                                        std::string_view>);
+  static_assert(
+      !std::is_constructible_v<TextReader, std::string&&, std::string_view>);
+  const std::string text = "alpha\tbeta\v\fgamma\r\n";
+  TextReader in(text, "ctx");
+  const std::string_view first = in.word();
+  EXPECT_EQ(first.data(), text.data());
+  EXPECT_EQ(in.word(), "beta");
+  EXPECT_EQ(in.word(), "gamma");
+  EXPECT_EQ(in.word(), "");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/sealed_text.hpp"
 #include "core_test_util.hpp"
 
 namespace appclass::core {
@@ -226,6 +227,30 @@ TEST(Serialize, ValidChecksumWithUnknownFutureSectionIsRejected) {
     EXPECT_NE(std::string(e.what()).find("novelty-ensemble"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Serialize, ResealedHugeTrainingCountIsRejected) {
+  // A training-set size no file could hold, under a valid seal (v2) or
+  // no seal at all (v1): the loader must fail as a parse error, not
+  // size a matrix by it and escape with std::bad_alloc.
+  const std::string text = save_pipeline(trained());
+  std::string body = text.substr(0, text.rfind("checksum "));
+  const auto knn = body.find("knn 125 3 ");
+  ASSERT_NE(knn, std::string::npos);
+  body.replace(knn, 7, "knn 1000000000000000");
+  std::string v1 = body;
+  v1.replace(0, 20, "appclass-pipeline v1");
+  for (const std::string& corrupt : {common::seal_text(body), v1}) {
+    try {
+      load_pipeline(corrupt);
+      FAIL() << "a huge training count must not load";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "count 1000000000000000 exceeds the"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Checkpoint format and storage: exact round trip of the online state
 // image, checksum-footer corruption detection, atomic write + retention,
-// and the corrupt-newest-falls-back-to-older loading rule.
+// and the corrupt-newest-falls-back-to-older loading rule, also for a
+// resealed file whose counts no file could hold.
 #include "persist/checkpoint.hpp"
 
 #include <unistd.h>
@@ -11,6 +12,9 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+
+#include "common/fs.hpp"
+#include "common/sealed_text.hpp"
 
 namespace appclass::persist {
 namespace {
@@ -43,6 +47,17 @@ CheckpointData sample() {
   data.online.nodes = {a, b};
   data.appdb_csv = "name,class\npostmark,io\n";  // embedded newlines
   return data;
+}
+
+/// Sealed `text` with its body's first `from` replaced by `to`, resealed
+/// so that only the parser can catch the change.
+std::string resealed(const std::string& text, std::string_view from,
+                     std::string_view to) {
+  std::string body = text.substr(0, text.rfind(common::kChecksumTag));
+  const std::size_t at = body.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) body.replace(at, from.size(), to);
+  return common::seal_text(std::move(body));
 }
 
 void expect_equal(const CheckpointData& x, const CheckpointData& y) {
@@ -100,6 +115,24 @@ TEST(Checkpoint, TruncationIsDetected) {
   EXPECT_THROW(decode_checkpoint(text), std::runtime_error);
 }
 
+TEST(Checkpoint, ResealedHugeCountsAreRejected) {
+  const std::string text = encode_checkpoint(sample());
+  for (const auto& [from, to] :
+       {std::pair<std::string_view, std::string_view>{
+            "online 77 3 2", "online 77 3 1000000000000000"},
+        {"io 1 3 0 cpu", "io 1 1000000000000000 0 cpu"},
+        {"appdb 23", "appdb 1000000000000000"}}) {
+    try {
+      decode_checkpoint(resealed(text, from, to));
+      FAIL() << "a huge count must not load: " << to;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).find("checkpoint deserialization: "),
+                0u)
+          << e.what();
+    }
+  }
+}
+
 TEST(Checkpoint, EmptyAndForeignFilesAreRejected) {
   EXPECT_THROW(decode_checkpoint(""), std::runtime_error);
   EXPECT_THROW(decode_checkpoint("definitely not a checkpoint\n"),
@@ -144,6 +177,25 @@ TEST_F(CheckpointDirTest, CorruptNewestFallsBackToOlder) {
     f.seekp(40);
     f.put('#');
   }
+  const auto loaded = load_latest_checkpoint(dir_);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->data.wal_next, 10u);
+  EXPECT_EQ(loaded->corrupt_skipped, 1u);
+}
+
+using CheckpointTest = CheckpointDirTest;
+
+TEST_F(CheckpointTest, ResealedHugeCountFallsBackToPreviousCheckpoint) {
+  // A valid seal over a node count no file could hold: the loader must
+  // skip the file as corrupt instead of reserving for the count.
+  CheckpointData data = sample();
+  data.wal_next = 10;
+  write_checkpoint(dir_, data);
+  data.wal_next = 20;
+  const std::string newest = write_checkpoint(dir_, data);
+  common::atomic_write_file(
+      newest, resealed(common::read_file_or_throw(newest), "online 77 3 2",
+                       "online 0 0 1000000000000000"));
   const auto loaded = load_latest_checkpoint(dir_);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->data.wal_next, 10u);
