@@ -1,7 +1,6 @@
 #include "core/knn.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -46,15 +45,6 @@ KnnClassifier::Evidence KnnClassifier::evidence(
     std::span<const engine::BlockedKnnIndex::Hit> hits) const {
   Evidence out;
   out.vote = index_.vote(hits);
-  // Margin: winner minus runner-up vote count over k. Unanimous = 1.
-  std::array<int, kClassCount> votes{};
-  for (const auto& hit : hits) ++votes[index_of(labels_[hit.index])];
-  const std::size_t winner = index_of(out.vote.label);
-  int runner_up = 0;
-  for (std::size_t c = 0; c < kClassCount; ++c)
-    if (c != winner) runner_up = std::max(runner_up, votes[c]);
-  out.margin = static_cast<double>(votes[winner] - runner_up) /
-               static_cast<double>(hits.size());
   // Hits ascend by metric-space distance, so hits[0] is the nearest
   // training point: squared L2 under Euclidean, the L1 sum under
   // Manhattan.

@@ -113,12 +113,11 @@ class KnnClassifier {
   friend class ClassificationPipeline;
 
   /// What one query's hits say beyond the neighbour list. The only place
-  /// the vote margin and the novelty score are derived: query_rows() and
-  /// ClassificationPipeline::classify_snapshot_into() both read them here.
+  /// the vote (label, share, margin) and the novelty score are derived:
+  /// query_rows() and ClassificationPipeline::classify_snapshot_into()
+  /// both read them here.
   struct Evidence {
     engine::BlockedKnnIndex::Vote vote;
-    /// (winner votes - runner-up votes) / k, in [0, 1].
-    double margin = 0.0;
     /// Distance to the nearest training point in the vote metric.
     double novelty = 0.0;
   };

@@ -359,7 +359,7 @@ void ClassificationPipeline::classify_snapshot_into(
   SnapshotClassification& detail = batch.details_[i];
   detail.label = ev.vote.label;
   detail.confidence = ev.vote.share;
-  detail.vote_margin = ev.margin;
+  detail.vote_margin = ev.vote.margin;
   detail.novelty = ev.novelty;
   detail.projected.resize(pca_.components());
   for (std::size_t j = 0; j < detail.projected.size(); ++j)

@@ -6,18 +6,32 @@
 // This index splits the training set once, at build time, into a bucket
 // k-d tree (Friedman, Bentley & Finkel, ACM TOMS 1977): leaves of at
 // most kLeafSize points, each inner node splitting at the median of its
-// widest axis. Points are stored leaf-contiguous and feature-major
-// (feature j of the points of one leaf is contiguous) with their
-// original training index. A query descends near-child first and visits
-// a far child only while its split-plane bound is not strictly greater
-// than the current k-th distance; the best k insert into a k-slot
-// scratch array. No allocation on the query path.
+// widest axis. A query descends near-child first and visits a far child
+// only while its split-plane bound is not strictly greater than the
+// current k-th distance; the best k insert into a k-slot scratch array.
+// No allocation on the query path.
+//
+// Store layout: every leaf owns exactly kLeafSize slots, leaf after leaf
+// in tree order. A leaf's slots hold its points feature-major (for the
+// leaf whose first slot is p0, feature j of slot p0 + i sits at
+// features_[p0 * dims + j * kLeafSize + i]) with their training indices;
+// the slots past the leaf's point count are padding, 0.0 (finite) with
+// index 0. The distance loop runs over all kLeafSize slots, a
+// compile-time trip count, but only the leaf's real points are ever read
+// back, so padding never reaches a hit.
+//
+// Hit list: the first k points the search visits fill the k slots, each
+// by ordered insertion ("seeding"); until then no far child is pruned.
+// After that the k-th distance and index live in locals: a point whose
+// distance exceeds the k-th is rejected by one compare, and a pending
+// far child is skipped by one `bound > kth` test.
 //
 // Numerical contract: per-point distance accumulation visits features in
 // ascending order — exactly the order of linalg::squared_distance /
 // manhattan_distance — so distances (and therefore neighbour order,
 // votes, and novelty scores) are bit-identical to the seed's scalar
-// path. Ties in distance break toward the lower training index, matching
+// path. Padding only adds lanes, never terms to a real point's sum. Ties
+// in distance break toward the lower training index, matching
 // partial_sort over (distance, index) pairs. Pruning never changes the
 // answer: rounding is monotone, so every point beyond a split plane s on
 // axis a has a computed distance >= the bound (s - q_a)^2 (|s - q_a|
@@ -25,6 +39,16 @@
 // greater than the k-th distance, so an equal-distance lower index is
 // still found; and the lexicographic (distance, index) insertion makes
 // the hits independent of the order leaves are visited in.
+//
+// NaN queries (an unsanitized corrupt snapshot): a NaN coordinate makes
+// every distance NaN, and NaN compares false with everything. Nothing is
+// pruned and nothing is rejected; the first k points visited fill the
+// slots, and every later point overwrites slot k - 1. The hits are thus
+// k real training points fixed by the visit order, which is the same
+// for both metrics. Seeding by count, never with sentinel hits, is what
+// keeps every slot a real training index: a NaN never displaces
+// anything but slot k - 1, so a sentinel in slots 0..k-2 would survive
+// into vote(). The tests pin these hits.
 #pragma once
 
 #include <cstddef>
@@ -91,7 +115,8 @@ class BlockedKnnIndex {
   /// Outcome of the majority vote over the k hits.
   struct Vote {
     core::ApplicationClass label = core::ApplicationClass::kIdle;
-    double share = 0.0;  ///< winning votes / k, in (0, 1]
+    double share = 0.0;   ///< winning votes / k, in (0, 1]
+    double margin = 0.0;  ///< (winning - runner-up votes) / k, in [0, 1]
   };
 
   /// Per-thread scratch reused across queries (the k-slot selection
@@ -135,8 +160,9 @@ class BlockedKnnIndex {
   std::span<const Hit> top_k(const QueryBlock& block, std::size_t i,
                              Scratch& scratch) const;
 
-  /// Majority vote over hits; ties break by summed inverse rank (nearer
-  /// neighbours win), matching the seed classifier.
+  /// Majority vote over hits (at most k of them); ties break by summed
+  /// inverse rank (nearer neighbours win), matching the seed classifier.
+  /// Label, share and margin come from one counting pass.
   Vote vote(std::span<const Hit> hits) const;
 
  private:
@@ -145,7 +171,8 @@ class BlockedKnnIndex {
   /// One tree node. An inner node splits on `axis` at `split`: child
   /// `lo` holds its points with x[axis] <= split and child `hi` those
   /// with x[axis] >= split (a run of equal values may straddle the two).
-  /// A leaf (axis == kLeaf) holds the stored points [lo, hi).
+  /// A leaf (axis == kLeaf) holds its points in the slots [lo, hi),
+  /// which start at a multiple of kLeafSize.
   struct Node {
     double split = 0.0;
     std::uint32_t axis = 0;
@@ -163,10 +190,16 @@ class BlockedKnnIndex {
   /// q[j * qstride] (1 for a span, the block's stride for a QueryBlock).
   std::span<const Hit> top_k_block(const double* q, std::size_t qstride,
                                    Scratch& scratch) const;
-  /// acc[i] = distance from the query to stored point p0 + i, i < width.
+  /// top_k_block for one metric, compiled per metric so that the
+  /// descent loop carries no metric test.
+  template <bool kManhattan>
+  std::span<const Hit> search(const double* q, std::size_t qstride,
+                              Scratch& scratch) const;
+  /// acc[i] = distance from the query to slot p0 + i, for all
+  /// kLeafSize slots of the leaf at slot base p0 (pad slots included).
   template <bool kManhattan>
   void leaf_distances(const double* q, std::size_t qstride, std::size_t p0,
-                      std::size_t width, double* acc) const;
+                      double* acc) const;
   /// Builds the subtree over order[begin, end) (training indices) and
   /// returns its node.
   std::uint32_t build_node(const linalg::Matrix& points,
@@ -178,9 +211,12 @@ class BlockedKnnIndex {
   std::size_t k_ = 3;
   DistanceMetric metric_ = DistanceMetric::kEuclidean;
   std::vector<Node> nodes_;          ///< nodes_[0] is the root
-  std::vector<double> features_;     ///< [dims_][n] feature-major, leaf order
-  std::vector<std::uint32_t> index_;  ///< training index of stored point p
+  std::vector<double> features_;      ///< per leaf: [dims_][kLeafSize]
+  std::vector<std::uint32_t> index_;  ///< training index of slot p
   std::vector<core::ApplicationClass> labels_;
+  /// rank_weight_[r] = 1.0 / (r + 1), the vote tie-break weight of the
+  /// r-th nearest hit, for r < min(k, n).
+  std::vector<double> rank_weight_;
 };
 
 /// The seed's scalar query path, preserved verbatim as the ground truth

@@ -6,6 +6,8 @@
 // serial baseline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -350,6 +352,58 @@ TEST(EngineKernel, InClusterQueryVisitsFewPoints) {
   }
 }
 
+TEST(EngineKernel, NanQueryReturnsPinnedTrainingIndices) {
+  // A NaN coordinate makes every distance NaN, which compares false
+  // with everything: no far child is pruned, the first k points visited
+  // fill the k slots, and each later point overwrites slot k - 1. The
+  // answer depends only on the visit order, which both metrics share,
+  // and it must name k real training points (vote() reads their
+  // labels). Unsanitized corrupt snapshots reach the search this way.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const linalg::Matrix points = random_points(300, 2, 51);
+  const std::vector<std::vector<double>> queries{{nan, 0.5}, {0.5, nan}};
+  const std::vector<std::vector<std::uint32_t>> pinned_k3{{182, 1, 165},
+                                                          {209, 175, 165}};
+  const std::vector<std::vector<std::uint32_t>> pinned_k31{
+      {182, 1,   195, 281, 101, 219, 3,   92,  285, 143, 78,
+       271, 27,  135, 123, 61,  140, 164, 214, 129, 18,  223,
+       84,  206, 270, 72,  103, 4,   133, 141, 165},
+      {209, 175, 274, 296, 213, 142, 229, 218, 131, 26,  207,
+       171, 106, 89,  93,  269, 174, 294, 76,  246, 167, 243,
+       257, 134, 34,  232, 250, 259, 146, 48,  165}};
+  for (const auto metric : kMetrics) {
+    for (const std::size_t k : {std::size_t{3}, std::size_t{31}}) {
+      BlockedKnnIndex index;
+      index.build(points, cycling_labels(points.rows()), k, metric);
+      BlockedKnnIndex::Scratch scratch;
+      for (std::size_t r = 0; r < queries.size(); ++r) {
+        const auto hits = index.top_k(queries[r], scratch);
+        ASSERT_EQ(hits.size(), k);
+        std::vector<std::uint32_t> indices;
+        for (const auto& hit : hits) {
+          EXPECT_TRUE(std::isnan(hit.distance));
+          ASSERT_LT(hit.index, points.rows());
+          indices.push_back(hit.index);
+        }
+        EXPECT_EQ(indices, (k == 3 ? pinned_k3 : pinned_k31)[r])
+            << "k=" << k << " query=" << r;
+        index.vote(hits);
+      }
+    }
+  }
+}
+
+TEST(EngineKernel, InfiniteQueriesMatchReference) {
+  // Every distance is +inf, so only the index tie-break orders the hits.
+  const double inf = std::numeric_limits<double>::infinity();
+  const linalg::Matrix points = random_points(300, 2, 52);
+  const linalg::Matrix queries{
+      {inf, 0.5}, {-inf, 0.5}, {0.5, inf}, {0.5, -inf}, {inf, -inf}};
+  for (const auto metric : kMetrics)
+    for (const std::size_t k : {std::size_t{3}, std::size_t{31}})
+      expect_same_as_reference(points, queries, k, metric);
+}
+
 TEST(EngineKernel, VoteMatchesSeedSemantics) {
   BlockedKnnIndex index;
   linalg::Matrix points{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}};
@@ -362,6 +416,37 @@ TEST(EngineKernel, VoteMatchesSeedSemantics) {
   const auto vote = index.vote(hits);
   EXPECT_EQ(vote.label, core::ApplicationClass::kCpu);
   EXPECT_DOUBLE_EQ(vote.share, 2.0 / 3.0);
+}
+
+TEST(EngineKernel, VoteMarginIsWinnerMinusRunnerUpOverK) {
+  using core::ApplicationClass;
+  const linalg::Matrix points{{0.0}, {1.0}, {2.0}, {3.0}, {4.0}};
+  BlockedKnnIndex::Scratch scratch;
+  BlockedKnnIndex index;
+  // Query at 0 ranks the points 0..4; at 4 it ranks them 4..0.
+  index.build(points,
+              {ApplicationClass::kIo, ApplicationClass::kCpu,
+               ApplicationClass::kCpu, ApplicationClass::kIo,
+               ApplicationClass::kMemory},
+              5, DistanceMetric::kEuclidean);
+  // Io and Cpu tie at two votes each. Io's ranks 1 and 4 outweigh Cpu's
+  // 2 and 3 (1 + 1/4 against 1/2 + 1/3); from the other end Io's ranks
+  // 2 and 5 outweigh Cpu's 3 and 4.
+  for (const double at : {0.0, 4.0}) {
+    const auto vote = index.vote(index.top_k(std::vector<double>{at}, scratch));
+    EXPECT_EQ(vote.label, ApplicationClass::kIo) << "at=" << at;
+    EXPECT_EQ(vote.share, 2.0 / 5.0);
+    EXPECT_EQ(vote.margin, 0.0);
+  }
+  index.build(points,
+              {ApplicationClass::kCpu, ApplicationClass::kCpu,
+               ApplicationClass::kCpu, ApplicationClass::kIo,
+               ApplicationClass::kMemory},
+              5, DistanceMetric::kEuclidean);
+  const auto vote = index.vote(index.top_k(std::vector<double>{0.0}, scratch));
+  EXPECT_EQ(vote.label, ApplicationClass::kCpu);
+  EXPECT_EQ(vote.share, 3.0 / 5.0);
+  EXPECT_EQ(vote.margin, 2.0 / 5.0);
 }
 
 }  // namespace
