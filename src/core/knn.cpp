@@ -26,21 +26,6 @@ std::size_t KnnClassifier::dimension() const {
   return points_.cols();
 }
 
-QueryResult KnnClassifier::make_result(std::size_t count,
-                                       const QueryOptions& options) const {
-  APPCLASS_EXPECTS(trained());
-  QueryResult out;
-  out.count = count;
-  out.labels.resize(count);
-  if (options.vote_shares) out.vote_shares.resize(count);
-  if (options.neighbors) {
-    out.neighbors_per_query = std::min(options_.k, labels_.size());
-    out.neighbor_indices.resize(count * out.neighbors_per_query);
-  }
-  if (options.novelty) out.novelty.resize(count);
-  return out;
-}
-
 KnnClassifier::Evidence KnnClassifier::evidence(
     std::span<const engine::BlockedKnnIndex::Hit> hits) const {
   Evidence out;
@@ -54,15 +39,23 @@ KnnClassifier::Evidence KnnClassifier::evidence(
   return out;
 }
 
-void KnnClassifier::query_rows(
-    const linalg::Matrix& points, std::size_t begin, std::size_t end,
-    const QueryOptions& options, QueryResult& out,
-    engine::BlockedKnnIndex::Scratch& scratch) const {
+QueryResult KnnClassifier::query(const linalg::Matrix& points,
+                                 const QueryOptions& options) const {
   APPCLASS_EXPECTS(trained());
   APPCLASS_EXPECTS(points.cols() == points_.cols());
-  APPCLASS_EXPECTS(begin <= end && end <= points.rows());
-  APPCLASS_EXPECTS(end <= out.count);
-  for (std::size_t r = begin; r < end; ++r) {
+  const std::size_t count = points.rows();
+  QueryResult out;
+  out.labels.resize(count);
+  if (options.vote_shares) out.vote_shares.resize(count);
+  if (options.neighbors) {
+    out.neighbors_per_query = std::min(options_.k, labels_.size());
+    out.neighbor_indices.resize(count * out.neighbors_per_query);
+  }
+  if (options.novelty) out.novelty.resize(count);
+
+  // Per-thread, so single-point queries in a loop reuse warm storage.
+  thread_local engine::BlockedKnnIndex::Scratch scratch;
+  for (std::size_t r = 0; r < count; ++r) {
     const auto hits = index_.top_k(points.row(r), scratch);
     const Evidence ev = evidence(hits);
     out.labels[r] = ev.vote.label;
@@ -74,25 +67,14 @@ void KnnClassifier::query_rows(
     }
     if (options.novelty) out.novelty[r] = ev.novelty;
   }
-}
-
-QueryResult KnnClassifier::query(const linalg::Matrix& points,
-                                 const QueryOptions& options) const {
-  QueryResult out = make_result(points.rows(), options);
-  engine::BlockedKnnIndex::Scratch scratch;
-  query_rows(points, 0, points.rows(), options, out, scratch);
   return out;
 }
 
 QueryResult KnnClassifier::query(std::span<const double> point,
                                  const QueryOptions& options) const {
-  QueryResult out = make_result(1, options);
-  thread_local engine::BlockedKnnIndex::Scratch scratch;
-  const linalg::Matrix one =
-      linalg::Matrix::from_rows(1, point.size(),
-                                {point.begin(), point.end()});
-  query_rows(one, 0, 1, options, out, scratch);
-  return out;
+  return query(linalg::Matrix::from_rows(1, point.size(),
+                                         {point.begin(), point.end()}),
+               options);
 }
 
 }  // namespace appclass::core

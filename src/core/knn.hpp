@@ -11,7 +11,9 @@
 // shares, neighbor indices, novelty distances) from one index search per
 // point, bit-identical to a brute-force scan. Everything beyond the
 // label is derived from that search's hits in one place (the private
-// evidence() helper), which the pipeline's per-snapshot path shares.
+// evidence() helper). The pipeline classifies through the index and
+// evidence() directly, one snapshot at a time; query() serves
+// diagnostics, tests and the standalone classifier.
 #pragma once
 
 #include <cstddef>
@@ -49,11 +51,10 @@ struct QueryOptions {
 
 /// Batch answer: index i of every filled vector describes query row i.
 struct QueryResult {
-  std::size_t count = 0;          ///< number of query points answered
   std::size_t neighbors_per_query = 0;  ///< min(k, training size) if requested
   std::vector<ApplicationClass> labels;  ///< always filled
   std::vector<double> vote_shares;       ///< iff QueryOptions::vote_shares
-  /// Flattened count x neighbors_per_query, nearest first
+  /// Flattened (query rows) x neighbors_per_query, nearest first
   /// (iff QueryOptions::neighbors).
   std::vector<std::size_t> neighbor_indices;
   std::vector<double> novelty;           ///< iff QueryOptions::novelty
@@ -87,20 +88,6 @@ class KnnClassifier {
   QueryResult query(std::span<const double> point,
                     const QueryOptions& options = {}) const;
 
-  /// Sharded execution support (the engine's path): allocates a result
-  /// whose vectors are pre-sized for `count` queries...
-  QueryResult make_result(std::size_t count,
-                          const QueryOptions& options) const;
-  /// ...and answers rows [begin, end) of `points` into their slots of
-  /// `out`. Distinct shards write disjoint slots, so concurrent calls
-  /// with one Scratch per caller are safe and the assembled result is
-  /// bit-identical to a serial query() — shard boundaries cannot affect
-  /// per-row arithmetic.
-  void query_rows(const linalg::Matrix& points, std::size_t begin,
-                  std::size_t end, const QueryOptions& options,
-                  QueryResult& out,
-                  engine::BlockedKnnIndex::Scratch& scratch) const;
-
   const linalg::Matrix& training_points() const noexcept { return points_; }
   std::span<const ApplicationClass> training_labels() const noexcept {
     return labels_;
@@ -114,8 +101,7 @@ class KnnClassifier {
 
   /// What one query's hits say beyond the neighbour list. The only place
   /// the vote (label, share, margin) and the novelty score are derived:
-  /// query_rows() and ClassificationPipeline::classify_snapshot_into()
-  /// both read them here.
+  /// query() and the pipeline's per-snapshot routine both read them here.
   struct Evidence {
     engine::BlockedKnnIndex::Vote vote;
     /// Distance to the nearest training point in the vote metric.

@@ -89,10 +89,7 @@ std::optional<ApplicationClass> OnlineClassifier::observe(
   pipeline_.begin_snapshot_batch(batch_, 1, /*detailed=*/health_ != nullptr);
   pipeline_.classify_snapshot_into(snapshot, batch_, 0,
                                    *pipeline_.acquire_scratch());
-  if (batch_.detailed())
-    ingest(snapshot, batch_.detail(0));
-  else
-    ingest(snapshot, batch_.label(0));
+  ingest(snapshot, batch_, 0);
   return batch_.label(0);
 }
 
@@ -104,6 +101,12 @@ void OnlineClassifier::ingest(const metrics::Snapshot& snapshot,
 void OnlineClassifier::ingest(const metrics::Snapshot& snapshot,
                               const SnapshotClassification& detail) {
   ingest_impl(snapshot, detail.label, &detail);
+}
+
+void OnlineClassifier::ingest(const metrics::Snapshot& snapshot,
+                              const SnapshotBatch& batch, std::size_t i) {
+  ingest_impl(snapshot, batch.label(i),
+              batch.detailed() ? &batch.detail(i) : nullptr);
 }
 
 OnlineClassifier::NodeState& OnlineClassifier::node_state(

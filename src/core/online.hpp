@@ -112,6 +112,12 @@ class OnlineClassifier {
   void ingest(const metrics::Snapshot& snapshot,
               const SnapshotClassification& detail);
 
+  /// Ingests slot `i` of a classified batch: its detail on a detailed
+  /// batch, else its label — the one call batch consumers (observe, the
+  /// fleet drain, recovery replay) make per slot.
+  void ingest(const metrics::Snapshot& snapshot, const SnapshotBatch& batch,
+              std::size_t i);
+
   /// Attaches a model-health aggregator (nullptr detaches; not owned).
   /// Health recording is strictly observational: labels, window state,
   /// and behaviour-change events are bit-identical with or without it.

@@ -197,8 +197,8 @@ ClassificationResult ClassificationPipeline::classify(
   APPCLASS_EXPECTS(trained_);
   APPCLASS_EXPECTS(!pool.empty());
   PipelineMetrics& pm = pipeline_metrics();
-  ClassificationResult result;
-  result.novelty_threshold = options_.novelty_threshold;
+  const std::span<const metrics::Snapshot> snapshots = pool.snapshots();
+  const std::size_t m = snapshots.size();
 
   // Root span of the trace: one classified pool. The stage spans below
   // open as its children; the engine_shard spans inside the for_shards
@@ -208,63 +208,27 @@ ClassificationResult ClassificationPipeline::classify(
   obs::TraceSpan root_span("classify");
   if (root_span.recording()) {
     root_span.add_attr({"node_ip", pool.node_ip()});
-    root_span.add_attr({"snapshots", pool.size()});
+    root_span.add_attr({"snapshots", m});
     root_span.add_attr({"parallelism", context_->parallelism()});
   }
 
-  linalg::Matrix normalized;
-  {
-    obs::TraceSpan stage_span("preprocess", &pm.preprocess);
-    normalized = preprocessor_.transform(pool);
-  }
-
-  const std::size_t m = normalized.rows();
-
-  {
-    obs::TraceSpan stage_span("pca_project", &pm.pca_project);
-    result.projected = linalg::Matrix(m, pca_.components());
+  // The per-snapshot routine as two sharded passes over one batch, so
+  // projection and search keep their own stage timings. Every shard
+  // leases the pooled scratch warmed by earlier shards on its worker.
+  SnapshotBatch batch;
+  begin_snapshot_batch(batch, m, /*detailed=*/false);
+  const auto run_shards = [&](const char* stage, const auto& half) {
     context_->for_shards(
         m, engine::kDefaultGrain,
         [&](std::size_t begin, std::size_t end, std::size_t) {
           obs::TraceSpan shard_span("engine_shard", &pm.shard);
-          if (shard_span.recording()) {
-            shard_span.add_attr({"stage", "pca_project"});
-            shard_span.add_attr({"begin", begin});
-            shard_span.add_attr({"end", end});
-          }
-          pca_.transform_rows(normalized, begin, end, result.projected);
-        });
-  }
-
-  // Sharded k-NN: every shard answers its rows into pre-sized slots with
-  // its own kernel scratch; one clock pair for the whole fan-out, the
-  // histogram charged the mean per snapshot.
-  const QueryOptions query_options{
-      .vote_shares = true,
-      .neighbors = false,
-      .novelty = options_.novelty_threshold > 0.0};
-  QueryResult queries = knn_.make_result(m, query_options);
-  {
-    obs::TraceSpan stage_span("knn_query", &pm.knn_query);
-    if (stage_span.recording()) {
-      stage_span.add_attr({"k", knn_.k()});
-      stage_span.add_attr({"training_size", knn_.training_size()});
-    }
-    context_->for_shards(
-        m, engine::kDefaultGrain,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          obs::TraceSpan shard_span("engine_shard", &pm.shard);
-          // Pooled per-worker scratch: each shard leases the slot warmed
-          // by previous shards on the same worker instead of sizing a
-          // fresh one.
           auto scratch = scratch_pool_->acquire();
           const std::uint64_t visited_before =
               scratch->kernel.visited_points;
-          knn_.query_rows(result.projected, begin, end, query_options,
-                          queries, scratch->kernel);
+          for (std::size_t i = begin; i < end; ++i) half(i, *scratch);
           shard_span.stop();
           if (shard_span.recording()) {
-            shard_span.add_attr({"stage", "knn_query"});
+            shard_span.add_attr({"stage", stage});
             shard_span.add_attr({"begin", begin});
             shard_span.add_attr({"end", end});
             shard_span.add_attr(
@@ -272,14 +236,40 @@ ClassificationResult ClassificationPipeline::classify(
                  scratch->kernel.visited_points - visited_before});
           }
         });
+  };
+  {
+    obs::TraceSpan stage_span("pca_project", &pm.pca_project);
+    run_shards("pca_project", [&](std::size_t i, SnapshotScratch& scratch) {
+      project_into(snapshots[i], batch, i, scratch);
+    });
+  }
+  // One clock pair for the whole fan-out, the histogram charged the mean
+  // per snapshot.
+  {
+    obs::TraceSpan stage_span("knn_query", &pm.knn_query);
+    if (stage_span.recording()) {
+      stage_span.add_attr({"k", knn_.k()});
+      stage_span.add_attr({"training_size", knn_.training_size()});
+    }
+    run_shards("knn_query", [&](std::size_t i, SnapshotScratch& scratch) {
+      search_into(batch, i, scratch.kernel);
+    });
     stage_span.stop_per_item(m);
   }
 
+  ClassificationResult result;
   {
     obs::TraceSpan stage_span("vote", &pm.vote);
-    result.class_vector = std::move(queries.labels);
-    result.confidences = std::move(queries.vote_shares);
-    result.novelty = std::move(queries.novelty);
+    // A fresh batch is sized exactly m, so its outputs move out whole.
+    result.class_vector = std::move(batch.labels_);
+    result.confidences = std::move(batch.shares_);
+    result.novelty_threshold = options_.novelty_threshold;
+    if (result.novelty_threshold > 0.0)
+      result.novelty = std::move(batch.novelty_);
+    result.projected = linalg::Matrix(m, pca_.components());
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < pca_.components(); ++j)
+        result.projected(i, j) = batch.queries_.at(i, j);
     result.composition = ClassComposition(result.class_vector);
     result.application_class = result.composition.dominant();
     stage_span.stop();
@@ -301,7 +291,6 @@ ClassificationResult ClassificationPipeline::classify(
   }
 
   pm.pools.inc();
-  pm.snapshots.inc(m);
   APPCLASS_LOG_DEBUG("pipeline.classify", {"snapshots", m},
                      {"class", to_string(result.application_class)},
                      {"mean_confidence", result.mean_confidence()});
@@ -331,7 +320,11 @@ void ClassificationPipeline::begin_snapshot_batch(SnapshotBatch& batch,
   batch.queries_.reset(pca_.components(), count);
   // Grow-only: shrinking would free the details' projected vectors and
   // reintroduce per-drain allocation; count_ bounds the valid range.
-  if (batch.labels_.size() < count) batch.labels_.resize(count);
+  if (batch.labels_.size() < count) {
+    batch.labels_.resize(count);
+    batch.shares_.resize(count);
+    batch.novelty_.resize(count);
+  }
   if (detailed && batch.details_.size() < count) batch.details_.resize(count);
   batch.count_ = count;
   batch.detailed_ = detailed;
@@ -340,6 +333,13 @@ void ClassificationPipeline::begin_snapshot_batch(SnapshotBatch& batch,
 void ClassificationPipeline::classify_snapshot_into(
     const metrics::Snapshot& snapshot, SnapshotBatch& batch, std::size_t i,
     SnapshotScratch& scratch) const {
+  project_into(snapshot, batch, i, scratch);
+  search_into(batch, i, scratch.kernel);
+}
+
+void ClassificationPipeline::project_into(const metrics::Snapshot& snapshot,
+                                          SnapshotBatch& batch, std::size_t i,
+                                          SnapshotScratch& scratch) const {
   APPCLASS_EXPECTS(trained_);
   APPCLASS_EXPECTS(i < batch.count_);
   // The query point lands in the batch's SoA block (strided) rather
@@ -350,10 +350,16 @@ void ClassificationPipeline::classify_snapshot_into(
   preprocessor_.transform_into(snapshot, scratch.row);
   pca_.transform_into(scratch.row, batch.queries_.point(i),
                       batch.queries_.stride());
+}
 
+void ClassificationPipeline::search_into(
+    SnapshotBatch& batch, std::size_t i,
+    engine::BlockedKnnIndex::Scratch& scratch) const {
   const KnnClassifier::Evidence ev =
-      knn_.evidence(knn_.index().top_k(batch.queries_, i, scratch.kernel));
+      knn_.evidence(knn_.index().top_k(batch.queries_, i, scratch));
   batch.labels_[i] = ev.vote.label;
+  batch.shares_[i] = ev.vote.share;
+  batch.novelty_[i] = ev.novelty;
   if (!batch.detailed_) return;
 
   SnapshotClassification& detail = batch.details_[i];

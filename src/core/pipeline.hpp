@@ -7,8 +7,16 @@
 // and stores the projected training points in the k-NN; classification
 // replays the fitted transforms on a test pool.
 //
+// Classification is per snapshot (paper section 4.2): one routine,
+// classify_snapshot_into(), normalizes, projects and 3-NN-labels a
+// snapshot into a slot of a SnapshotBatch. The stream, the fleet drain,
+// recovery and the single-snapshot call run it on their own batches;
+// classify(pool) runs it as a sharded batch over the pool's snapshots and
+// votes. The Matrix transforms (preprocess, PCA) serve train() and
+// project().
+//
 // Execution model: every batch loop (training-pool extraction, PCA
-// projection, the per-snapshot k-NN queries) runs through one
+// projection, the per-snapshot classification) runs through one
 // engine::ExecutionContext. `PipelineOptions::parallelism` selects it at
 // construction — 1 is serial on the calling thread, N > 1 shards the
 // same loops over a work-stealing pool of N threads. Shard boundaries
@@ -177,9 +185,9 @@ class SnapshotScratchPool {
   std::atomic<std::uint64_t> overflows_{0};
 };
 
-/// A batch of snapshots mid-classification (a fleet drain, or a caller's
-/// batch of one): the query points in the kernel's feature-major SoA
-/// layout plus per-snapshot outputs.
+/// A batch of snapshots mid-classification (a fleet drain, a pool, or a
+/// caller's batch of one): the query points in the kernel's feature-major
+/// SoA layout plus per-snapshot outputs (label, vote share, novelty).
 /// Grow-only — reusing one batch across drains is what makes the stream
 /// path allocation-free once it has seen its largest drain.
 class SnapshotBatch {
@@ -193,14 +201,13 @@ class SnapshotBatch {
     return details_[i];
   }
 
-  /// The projected query points (feature-major; diagnostics/tests).
-  const engine::QueryBlock& queries() const noexcept { return queries_; }
-
  private:
   friend class ClassificationPipeline;
 
   engine::QueryBlock queries_;
   std::vector<ApplicationClass> labels_;
+  std::vector<double> shares_;   ///< winning-class vote share per slot
+  std::vector<double> novelty_;  ///< novelty score per slot
   /// Sized lazily and never shrunk, so the per-entry `projected` vectors
   /// keep their capacity across drains; count_ bounds the valid range.
   std::vector<SnapshotClassification> details_;
@@ -219,7 +226,8 @@ class ClassificationPipeline {
 
   bool trained() const noexcept { return trained_; }
 
-  /// Classifies a full run (sharded over the execution context).
+  /// Classifies a full run: classify_snapshot_into() as a batch over the
+  /// pool's snapshots (sharded over the execution context), then the vote.
   ClassificationResult classify(const metrics::DataPool& pool) const;
 
   /// Classifies one snapshot (online mode): classify_snapshot_into() on
@@ -235,10 +243,9 @@ class ClassificationPipeline {
 
   /// THE per-snapshot classification routine: normalizes + projects
   /// `snapshot` straight into slot `i` of the batch's feature-major query
-  /// block, runs the k-NN search on it and votes. Label, vote share and
-  /// novelty match classify(pool) on the same snapshot bit for bit.
-  /// Distinct slots are independent — shards may call this concurrently
-  /// with one scratch per caller. Allocation-free after warmup.
+  /// block, runs the k-NN search on it and votes. Distinct slots are
+  /// independent — shards may call this concurrently with one scratch per
+  /// caller. Allocation-free after warmup.
   void classify_snapshot_into(const metrics::Snapshot& snapshot,
                               SnapshotBatch& batch, std::size_t i,
                               SnapshotScratch& scratch) const;
@@ -279,6 +286,15 @@ class ClassificationPipeline {
   const Pca& pca() const noexcept { return pca_; }
 
  private:
+  /// The two halves of classify_snapshot_into(), which classify(pool)
+  /// runs as separate sharded passes (timed as pca_project, knn_query).
+  /// Project: normalize + PCA-project `snapshot` into slot `i`.
+  void project_into(const metrics::Snapshot& snapshot, SnapshotBatch& batch,
+                    std::size_t i, SnapshotScratch& scratch) const;
+  /// Search: k-NN search + vote on slot `i`, recording its evidence.
+  void search_into(SnapshotBatch& batch, std::size_t i,
+                   engine::BlockedKnnIndex::Scratch& scratch) const;
+
   PipelineOptions options_;
   Preprocessor preprocessor_;
   Pca pca_;

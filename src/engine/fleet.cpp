@@ -214,13 +214,8 @@ std::size_t FleetStream::drain() {
                                              i, *scratch);
         });
   }
-  if (detailed) {
-    for (std::size_t i = 0; i < n; ++i)
-      online_.ingest(drained_.at(i).snapshot, batch_.detail(i));
-  } else {
-    for (std::size_t i = 0; i < n; ++i)
-      online_.ingest(drained_.at(i).snapshot, batch_.label(i));
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    online_.ingest(drained_.at(i).snapshot, batch_, i);
 
   // Ingest horizon: one past the newest hook-logged sequence we just
   // ingested. Snapshots accepted without a hook carry kNoSeq and are

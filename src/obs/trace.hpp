@@ -1,8 +1,8 @@
 // Dapper-style trace-context propagation for the classification stack.
 //
 // A *trace* is one causally-linked tree of spans — e.g. one classified
-// snapshot pool: a `classify` root with preprocess/pca_project/knn_query/
-// vote children, whose `engine_shard` grandchildren may have run on
+// snapshot pool: a `classify` root with pca_project/knn_query/vote
+// children, whose `engine_shard` grandchildren may have run on
 // stolen shards on other thread-pool workers. Context lives in a
 // thread-local (`current_trace_context`); cross-thread edges are made by
 // capturing the context at job submission and adopting it on the worker

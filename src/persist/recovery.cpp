@@ -71,10 +71,7 @@ RecoveryReport recover(const std::string& state_dir,
       [&](const WalRecord& record) {
         pipeline.begin_snapshot_batch(batch, 1, detailed);
         pipeline.classify_snapshot_into(record.snapshot, batch, 0, *scratch);
-        if (detailed)
-          online.ingest(record.snapshot, batch.detail(0));
-        else
-          online.ingest(record.snapshot, batch.label(0));
+        online.ingest(record.snapshot, batch, 0);
         report.wal_next_seq = record.seq + 1;
       });
   report.replayed = scan.records;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+
+#include "common/fnv1a.hpp"
 #include "core_test_util.hpp"
+#include "counting_allocator.hpp"
 #include "obs/metrics.hpp"
 
 namespace appclass::core {
@@ -63,7 +69,9 @@ TEST_F(PipelineTest, ProjectMatchesClassifyProjection) {
   const auto pool = testing::synthetic_pool(ApplicationClass::kMemory, 8, 12);
   const auto proj = pipeline_.project(pool);
   const auto result = pipeline_.classify(pool);
-  EXPECT_LT(proj.max_abs_diff(result.projected), 1e-12);
+  // Two paths computing one quantity: the Matrix transforms and the
+  // per-snapshot routine agree bit for bit.
+  EXPECT_TRUE(proj == result.projected);
 }
 
 TEST_F(PipelineTest, MixedPoolYieldsMixedComposition) {
@@ -79,6 +87,114 @@ TEST_F(PipelineTest, MixedPoolYieldsMixedComposition) {
               0.15);
   EXPECT_NEAR(result.composition.fraction(ApplicationClass::kIdle), 1.0 / 3.0,
               0.15);
+}
+
+// --- classify(pool) known answer --------------------------------------------
+
+/// 60 snapshots cycling through the five classes; every fourth is the
+/// midpoint of its class and the class two steps on, so the pool holds
+/// ambiguous neighbourhoods and novel points besides the clean clusters.
+metrics::DataPool known_answer_pool() {
+  linalg::Rng rng(2024);
+  metrics::DataPool pool("10.0.0.1");
+  for (std::size_t i = 0; i < 60; ++i) {
+    const auto time = static_cast<metrics::SimTime>(5 * i);
+    metrics::Snapshot s =
+        testing::synthetic_snapshot(class_from_index(i % 5), rng, time);
+    if (i % 4 == 3) {
+      const metrics::Snapshot other = testing::synthetic_snapshot(
+          class_from_index((i + 2) % 5), rng, time);
+      for (std::size_t k = 0; k < s.values.size(); ++k)
+        s.values[k] = (s.values[k] + other.values[k]) / 2.0;
+    }
+    pool.add(std::move(s));
+  }
+  return pool;
+}
+
+std::uint64_t digest(std::span<const double> values, std::uint64_t hash) {
+  return common::fnv1a64(
+      std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(values.data()),
+          values.size_bytes()),
+      hash);
+}
+
+/// Class indices as digits, one per snapshot.
+std::string class_digits(const std::vector<ApplicationClass>& classes) {
+  std::string out;
+  for (const ApplicationClass c : classes)
+    out.push_back(static_cast<char>('0' + index_of(c)));
+  return out;
+}
+
+TEST(PipelineKnownAnswer, ClassifyPoolOutputIsPinned) {
+  struct Expected {
+    DistanceMetric metric;
+    const char* classes;
+    ApplicationClass application_class;
+    std::uint64_t digest;
+  };
+  const Expected cases[] = {
+      {DistanceMetric::kEuclidean,
+       "012340113403234212310123401034032342123401234010340123421234",
+       ApplicationClass::kNetwork, 0xa2202b1bd3d9d574ULL},
+      {DistanceMetric::kManhattan,
+       "012340103403234212310123401034032342123401234010340123421234",
+       ApplicationClass::kNetwork, 0xc1006b7bc2c38c16ULL},
+  };
+  const metrics::DataPool pool = known_answer_pool();
+  for (const Expected& expected : cases) {
+    for (const std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "metric=" << static_cast<int>(expected.metric)
+                   << " parallelism=" << parallelism);
+      PipelineOptions options;
+      options.knn.metric = expected.metric;
+      options.novelty_threshold = 3.0;
+      options.parallelism = parallelism;
+      ClassificationPipeline pipeline(options);
+      pipeline.train(testing::synthetic_training());
+      const ClassificationResult result = pipeline.classify(pool);
+
+      EXPECT_EQ(class_digits(result.class_vector), expected.classes);
+      EXPECT_EQ(result.application_class, expected.application_class);
+      std::uint64_t hash = common::kFnv1a64Offset;
+      hash = digest(result.confidences, hash);
+      hash = digest(result.novelty, hash);
+      hash = digest(result.projected.data(), hash);
+      hash = digest(result.composition.fractions(), hash);
+      EXPECT_EQ(hash, expected.digest) << std::hex << "0x" << hash;
+    }
+  }
+}
+
+// --- classify(pool) allocations ---------------------------------------------
+
+TEST(PipelineAllocations, ClassifyPoolAllocationCountIsSizeIndependent) {
+  // Serial context: every allocation of a classify(pool) call is made on
+  // this thread, and none may scale with the pool's snapshot count.
+  for (const double novelty_threshold : {0.0, 3.0}) {
+    PipelineOptions options;
+    options.novelty_threshold = novelty_threshold;
+    ClassificationPipeline pipeline(options);
+    pipeline.train(testing::synthetic_training());
+    std::vector<std::uint64_t> counts;
+    for (const std::size_t size :
+         {std::size_t{60}, std::size_t{600}, std::size_t{2000}}) {
+      const auto pool = testing::synthetic_pool(
+          ApplicationClass::kIo, size, static_cast<std::uint64_t>(size));
+      (void)pipeline.classify(pool);  // warm-up: scratch, metrics singletons
+      const std::uint64_t before = allocations();
+      const ClassificationResult result = pipeline.classify(pool);
+      counts.push_back(allocations() - before);
+      ASSERT_EQ(result.class_vector.size(), size);
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "novelty_threshold=" << novelty_threshold);
+    EXPECT_EQ(counts[1], counts[0]);
+    EXPECT_EQ(counts[2], counts[0]);
+  }
 }
 
 TEST(Pipeline, CustomMetricSelection) {

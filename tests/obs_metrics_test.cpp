@@ -118,8 +118,9 @@ TEST(Registry, ConcurrentIncrementsFromManyThreads) {
         gauge.add(1.0);
         hist.observe(1.0);
         // Re-resolution under contention must return the same objects.
-        if (i % 1000 == 0)
+        if (i % 1000 == 0) {
           EXPECT_EQ(&registry.counter("concurrent_total"), &counter);
+        }
       }
     });
   for (auto& t : threads) t.join();
