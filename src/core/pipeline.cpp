@@ -27,6 +27,8 @@ struct PipelineMetrics {
       "appclass_pipeline_classify_pools_total");
   obs::Counter& snapshots = obs::MetricsRegistry::global().counter(
       "appclass_pipeline_snapshots_classified_total");
+  obs::Counter& scratch_overflows = obs::MetricsRegistry::global().counter(
+      "appclass_pipeline_scratch_overflows_total");
 };
 
 PipelineMetrics& pipeline_metrics() {
@@ -89,7 +91,7 @@ SnapshotScratchPool::Lease SnapshotScratchPool::acquire() {
             std::memory_order_relaxed))
       return Lease(this, idx, &slots_[idx].scratch);
   }
-  overflows_.fetch_add(1, std::memory_order_relaxed);
+  pipeline_metrics().scratch_overflows.inc();
   return Lease(std::make_unique<SnapshotScratch>());
 }
 

@@ -136,7 +136,8 @@ struct SnapshotScratch {
 /// lands on its own warm slot in one CAS; non-worker callers share the
 /// remaining slots. When every slot is busy (more concurrent callers
 /// than the pool was sized for) acquire() falls back to a heap-allocated
-/// overflow scratch — counted, never wrong, never hit in steady state.
+/// overflow scratch — never wrong, never hit in steady state, and
+/// counted in `appclass_pipeline_scratch_overflows_total`.
 class SnapshotScratchPool {
  public:
   /// `slots` should cover parallelism + expected concurrent callers.
@@ -169,12 +170,6 @@ class SnapshotScratchPool {
 
   Lease acquire();
 
-  std::size_t slots() const noexcept { return slots_.size(); }
-  /// Times acquire() had to heap-allocate because all slots were busy.
-  std::uint64_t overflows() const noexcept {
-    return overflows_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Slot {
     std::atomic<bool> busy{false};
@@ -182,7 +177,6 @@ class SnapshotScratchPool {
   };
 
   std::vector<Slot> slots_;  ///< fixed at construction: lock-free probing
-  std::atomic<std::uint64_t> overflows_{0};
 };
 
 /// A batch of snapshots mid-classification (a fleet drain, a pool, or a

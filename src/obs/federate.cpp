@@ -86,14 +86,12 @@ bool parse_labels(std::string_view line, std::size_t& pos, Labels& out) {
   return false;
 }
 
+/// Digits only, at most UINT64_MAX: a larger value is rejected, not
+/// wrapped.
 bool parse_uint64(std::string_view token, std::uint64_t& out) {
-  if (token.empty() || token.size() > 20) return false;
-  out = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
 bool parse_float(std::string_view token, double& out) {
@@ -496,13 +494,14 @@ class JsonScanner {
     return ok;
   }
 
+  /// An integer literal that fits int64_t, the only form the trace
+  /// writers emit; 10.5, 1e30, nan and 2^63 are rejected, not cast.
   bool parse_int(std::int64_t& out) {
     std::string raw;
     if (!parse_value_raw(&raw)) return false;
-    double value = 0.0;
-    if (!parse_float(raw, value)) return false;
-    out = static_cast<std::int64_t>(value);
-    return true;
+    const char* end = raw.data() + raw.size();
+    const auto [ptr, ec] = std::from_chars(raw.data(), end, out);
+    return ec == std::errc{} && ptr == end;
   }
 
  private:

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/fnv1a.hpp"
 #include "core_test_util.hpp"
@@ -271,6 +272,19 @@ TEST(PipelineObservability, TrainAndClassifyPopulateStageHistograms) {
   (void)pipeline.classify(pool[0]);
   EXPECT_EQ(counter_value("appclass_pipeline_snapshots_classified_total"),
             snaps1 + 1u);
+}
+
+TEST(PipelineObservability, ScratchOverflowLeaseIsCounted) {
+  const obs::Counter& overflows = obs::MetricsRegistry::global().counter(
+      "appclass_pipeline_scratch_overflows_total");
+  const std::uint64_t before = overflows.value();
+  SnapshotScratchPool pool(3);
+  std::vector<SnapshotScratchPool::Lease> held;
+  held.reserve(4);
+  for (int i = 0; i < 3; ++i) held.push_back(pool.acquire());
+  EXPECT_EQ(overflows.value(), before);  // every slot leased, none spilled
+  held.push_back(pool.acquire());
+  EXPECT_EQ(overflows.value(), before + 1);
 }
 
 TEST(Pipeline, LargerKStillSeparatesCleanClusters) {

@@ -19,11 +19,14 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/link.hpp"
 #include "dist/wire.hpp"
+#include "monitor/wire.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "persist/wal.hpp"
 
 namespace appclass::dist {
@@ -467,6 +470,53 @@ TEST(DistIngest, OnDurableExceptionReachesTheSender) {
   ASSERT_TRUE(link.send(grid_snapshot(0), {}));
   EXPECT_THROW(link.flush(), std::runtime_error);
   listener.stop();
+}
+
+TEST(DistIngest, DeliveredStreamIdenticalWithTracingOnAndOff) {
+  // Tracing is observational: a worker ingests the same bytes whether the
+  // sender traced its announces or not, and each pass feeds both
+  // announce->durable and announce->ingested histograms once per frame.
+  constexpr std::uint64_t kFrames = 64;
+  const auto e2e_counts = [] {
+    const obs::RegistrySnapshot registry =
+        obs::MetricsRegistry::global().snapshot();
+    const auto* durable =
+        registry.find_histogram("appclass_e2e_durable_ack_seconds");
+    const auto* ingested =
+        registry.find_histogram("appclass_e2e_ingest_seconds");
+    return std::pair<std::uint64_t, std::uint64_t>{
+        durable ? durable->count : 0, ingested ? ingested->count : 0};
+  };
+  const auto delivered = [&](bool traced) {
+    std::mutex mutex;
+    std::vector<std::vector<std::uint8_t>> packets;
+    const auto sink = [&](const metrics::Snapshot& snapshot) {
+      const std::lock_guard lock(mutex);
+      packets.push_back(monitor::encode_packet(snapshot));
+      return true;
+    };
+    IngestListener listener({.port = 0, .sampling_interval_s = 5}, sink, 0);
+    EXPECT_TRUE(listener.start());
+    const auto before = e2e_counts();
+    obs::set_tracing_enabled(traced);
+    {
+      WorkerLink link("127.0.0.1", listener.port());
+      for (std::uint64_t i = 0; i < kFrames; ++i) {
+        obs::TraceSpan span("dist_announce");
+        EXPECT_TRUE(link.send(grid_snapshot(i), span.context()));
+      }
+      EXPECT_TRUE(link.flush());
+    }
+    obs::set_tracing_enabled(false);
+    listener.stop();
+    const auto after = e2e_counts();
+    EXPECT_GE(after.first - before.first, kFrames);
+    EXPECT_GE(after.second - before.second, kFrames);
+    return packets;
+  };
+  const auto untraced = delivered(false);
+  EXPECT_EQ(untraced.size(), kFrames);
+  EXPECT_EQ(delivered(true), untraced);
 }
 
 }  // namespace

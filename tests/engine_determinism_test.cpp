@@ -3,16 +3,19 @@
 // shard boundaries, per-slot writes, serial reductions); this suite
 // proves it on the five canonical workloads across parallelism 1/2/8,
 // for the batch pipeline, the fleet batch classifier, and the online
-// fleet stream.
+// fleet stream (pushed directly, and announced over a MetricBus).
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/online.hpp"
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
 #include "engine/fleet.hpp"
+#include "monitor/bus.hpp"
+#include "persist/checkpoint.hpp"
 
 namespace appclass {
 namespace {
@@ -80,6 +83,15 @@ TEST(EngineDeterminism, BatchClassifierMatchesPerPoolSerialCalls) {
     expect_identical(serial.classify(pools[p]), results[p]);
 }
 
+/// Canonical byte image of a classifier's full online state: windows,
+/// debounce streaks, coverage and counters.
+std::string online_image(const core::OnlineClassifier& online) {
+  persist::CheckpointData data;
+  data.options = online.options();
+  data.online = online.export_state();
+  return persist::encode_checkpoint(data);
+}
+
 TEST(EngineDeterminism, FleetStreamDrainMatchesObserveByObserve) {
   const core::ClassificationPipeline serial = trained(1);
   const core::ClassificationPipeline pooled = trained(8);
@@ -96,6 +108,11 @@ TEST(EngineDeterminism, FleetStreamDrainMatchesObserveByObserve) {
   stream.online().on_change([&](const core::BehaviourChange& change) {
     stream_changes.push_back(change);
   });
+  // The serve path's announce leg: a stream attached to a MetricBus the
+  // same snapshots are announced on, drained at the same points.
+  engine::FleetStream bus_stream(pooled);
+  monitor::MetricBus bus;
+  bus_stream.attach(bus);
 
   // Interleave the five nodes' streams the way a bus would deliver them,
   // draining mid-stream at irregular points.
@@ -111,12 +128,20 @@ TEST(EngineDeterminism, FleetStreamDrainMatchesObserveByObserve) {
       if (i >= lp.pool.size()) continue;
       reference.observe(lp.pool[i]);
       stream.push(lp.pool[i]);
+      bus.announce(lp.pool[i]);
       ++pushed;
-      if (pushed % 97 == 0) stream.drain();
+      if (pushed % 97 == 0) {
+        stream.drain();
+        bus_stream.drain();
+      }
     }
   }
   stream.drain();
+  bus_stream.drain();
+  bus_stream.detach();
   EXPECT_EQ(stream.backlog(), 0u);
+  EXPECT_EQ(online_image(stream.online()), online_image(reference));
+  EXPECT_EQ(online_image(bus_stream.online()), online_image(reference));
 
   EXPECT_EQ(stream.online().classified_count(), reference.classified_count());
   EXPECT_EQ(stream.online().abstained_count(), reference.abstained_count());

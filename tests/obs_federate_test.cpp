@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -119,6 +120,24 @@ TEST(ObsFederateParse, RejectsMalformedInputs) {
   for (const char* text : kBad) {
     EXPECT_FALSE(parse_prometheus(text).has_value()) << text;
   }
+}
+
+TEST(ObsFederateParse, IntegersAboveUint64MaxAreRejectedNotWrapped) {
+  const auto counter = parse_prometheus(
+      "# TYPE c counter\nc 18446744073709551615\n");
+  ASSERT_TRUE(counter.has_value());
+  ASSERT_EQ(counter->counters.size(), 1u);
+  EXPECT_EQ(counter->counters[0].value, UINT64_MAX);
+
+  const char* kOverflow[] = {
+      "# TYPE c counter\nc 18446744073709551616\n",
+      "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 18446744073709551616\n"
+      "h_sum 1\nh_count 1\n",
+      "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\n"
+      "h_count 18446744073709551616\n",
+  };
+  for (const char* text : kOverflow)
+    EXPECT_FALSE(parse_prometheus(text).has_value()) << text;
 }
 
 RegistrySnapshot worker_snapshot(std::uint64_t frames, double backlog,
@@ -255,6 +274,24 @@ TEST(ObsFederateChrome, RejectsTruncatedJson) {
   EXPECT_FALSE(parse_chrome_trace("").has_value());
   EXPECT_FALSE(
       parse_chrome_trace("{\"traceEvents\":[{\"name\":1}]}").has_value());
+}
+
+TEST(ObsFederateChrome, NonIntegralOrOutOfRangeNumbersFailThePart) {
+  const auto part = [](const char* event) {
+    return TraceFleetPart{
+        "worker", std::string("{\"traceEvents\":[{\"name\":\"e\",") +
+                      event + "}]}"};
+  };
+  const std::vector<TraceFleetPart> parts = {
+      part("\"ts\":1000"),
+      part("\"ts\":1e30"),
+      part("\"pid\":nan"),
+      part("\"dur\":10.5"),
+      part("\"tid\":9223372036854775808"),
+  };
+  const StitchResult result = stitch_chrome_traces(parts);
+  EXPECT_EQ(result.parts_stitched, 1u);
+  EXPECT_EQ(result.parts_failed, 4u);
 }
 
 TEST(ObsFederateChrome, StitchAssignsPidLanesAndAlignsEpochs) {

@@ -214,6 +214,7 @@ TEST(ObsTrace, DisabledTracingRecordsNothing) {
 TEST(ObsTrace, ClassificationBitIdenticalWithTracingOnAndOff) {
   core::PipelineOptions options;
   options.parallelism = 4;
+  options.novelty_threshold = 2.5;  // the novelty vector too
   core::ClassificationPipeline pipeline(options);
   pipeline.train(core::testing::synthetic_training());
   const metrics::DataPool pool =
@@ -234,6 +235,7 @@ TEST(ObsTrace, ClassificationBitIdenticalWithTracingOnAndOff) {
   ASSERT_EQ(on.confidences.size(), off.confidences.size());
   for (std::size_t i = 0; i < on.confidences.size(); ++i)
     EXPECT_EQ(on.confidences[i], off.confidences[i]) << i;
+  EXPECT_EQ(on.novelty, off.novelty);
   ASSERT_EQ(on.projected.rows(), off.projected.rows());
   for (std::size_t r = 0; r < on.projected.rows(); ++r)
     for (std::size_t c = 0; c < on.projected.cols(); ++c)
