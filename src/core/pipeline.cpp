@@ -204,9 +204,9 @@ ClassificationResult ClassificationPipeline::classify(
 
   // Root span of the trace: one classified pool. The stage spans below
   // open as its children; the engine_shard spans inside the for_shards
-  // lambdas parent to the stage spans even when the pool steals the
-  // shard onto another worker (the ThreadPool adopts the submitter's
-  // context around every task).
+  // lambdas parent to the stage spans even when another worker claims
+  // the shard (the ThreadPool adopts the submitter's context around
+  // every task).
   obs::TraceSpan root_span("classify");
   if (root_span.recording()) {
     root_span.add_attr({"node_ip", pool.node_ip()});

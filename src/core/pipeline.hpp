@@ -19,7 +19,7 @@
 // projection, the per-snapshot classification) runs through one
 // engine::ExecutionContext. `PipelineOptions::parallelism` selects it at
 // construction — 1 is serial on the calling thread, N > 1 shards the
-// same loops over a work-stealing pool of N threads. Shard boundaries
+// same loops over a pool of N threads. Shard boundaries
 // and reduction order are thread-count-independent, so results are
 // bit-identical whichever you pick; there is no separate parallel code
 // path for callers to opt into.

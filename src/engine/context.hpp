@@ -5,11 +5,11 @@
 // into fixed-size shards whose boundaries depend only on `n` and the
 // grain — never on the thread count — and each shard writes results into
 // disjoint, pre-sized slots. A serial context runs the shards in order on
-// the calling thread; a pooled context runs them on a work-stealing
-// ThreadPool. Because shard boundaries and per-shard arithmetic are
-// identical either way, results are bit-identical across 1, 2, or N
-// threads; any final reduction is done serially over the full result
-// vector by the caller.
+// the calling thread; a pooled context hands them to a ThreadPool, whose
+// threads claim the next shard index until none is left. Because shard
+// boundaries and per-shard arithmetic are identical either way, results
+// are bit-identical across 1, 2, or N threads; any final reduction is
+// done serially over the full result vector by the caller.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +21,8 @@
 namespace appclass::engine {
 
 /// Default shard size for per-snapshot loops: big enough to amortize the
-/// deque hop, small enough that a single large pool spreads across
-/// workers.
+/// per-task claim and scratch lease, small enough that a single large
+/// pool spreads across workers.
 inline constexpr std::size_t kDefaultGrain = 256;
 
 class ExecutionContext {
@@ -49,16 +49,13 @@ class ExecutionContext {
       std::function<void(std::size_t, std::size_t, std::size_t)>;
 
   /// Cuts [0, n) into ceil(n / grain) shards and runs `fn` once per
-  /// shard — in order when serial, work-stolen when pooled. Shard
-  /// boundaries depend only on (n, grain).
+  /// shard — in order when serial, claimed by the pool's threads when
+  /// pooled. Shard boundaries depend only on (n, grain).
   void for_shards(std::size_t n, std::size_t grain, const ShardFn& fn) const;
 
   /// One task per item — the outer loop over pools / nodes / streams.
   void for_each(std::size_t n,
                 const std::function<void(std::size_t)>& fn) const;
-
-  /// Direct pool access for bespoke task graphs (null when serial).
-  ThreadPool* pool() const noexcept { return pool_.get(); }
 
  private:
   std::unique_ptr<ThreadPool> pool_;

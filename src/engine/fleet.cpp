@@ -197,23 +197,16 @@ std::size_t FleetStream::drain() {
   // way.
   const bool detailed = online_.health() != nullptr;
   pipeline_.begin_snapshot_batch(batch_, n, detailed);
-  if (!pipeline_.context()->pooled()) {
-    // Serial context: classify inline with one scratch lease. Bypassing
-    // for_shards also avoids materializing a std::function per drain.
-    auto scratch = pipeline_.acquire_scratch();
-    for (std::size_t i = 0; i < n; ++i)
-      pipeline_.classify_snapshot_into(drained_.at(i).snapshot, batch_, i,
-                                       *scratch);
-  } else {
-    pipeline_.context()->for_shards(
-        n, kDefaultGrain,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          auto scratch = pipeline_.acquire_scratch();
-          for (std::size_t i = begin; i < end; ++i)
-            pipeline_.classify_snapshot_into(drained_.at(i).snapshot, batch_,
-                                             i, *scratch);
-        });
-  }
+  // The lambda captures only `this`, so its std::function fits the
+  // small-object buffer and a serial drain allocates nothing here.
+  pipeline_.context()->for_shards(
+      n, kDefaultGrain,
+      [this](std::size_t begin, std::size_t end, std::size_t) {
+        auto scratch = pipeline_.acquire_scratch();
+        for (std::size_t i = begin; i < end; ++i)
+          pipeline_.classify_snapshot_into(drained_.at(i).snapshot, batch_,
+                                           i, *scratch);
+      });
   for (std::size_t i = 0; i < n; ++i)
     online_.ingest(drained_.at(i).snapshot, batch_, i);
 

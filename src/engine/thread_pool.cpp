@@ -1,11 +1,11 @@
 #include "engine/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <optional>
 
-#include "common/assert.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -21,8 +21,6 @@ struct PoolMetrics {
       "appclass_engine_tasks_total");
   obs::Counter& jobs = obs::MetricsRegistry::global().counter(
       "appclass_engine_jobs_total");
-  obs::Counter& steals = obs::MetricsRegistry::global().counter(
-      "appclass_engine_steals_total");
   obs::Histogram& job_wait = obs::MetricsRegistry::global().histogram(
       "appclass_engine_job_wait_seconds");
 };
@@ -34,29 +32,17 @@ PoolMetrics& pool_metrics() {
 
 }  // namespace
 
-/// One parallel_for invocation. Task indices are dealt round-robin across
-/// the deques at submission; dequeuing is own-front-first, steal-from-
-/// busiest-back second. The deque a task ends up running on is
-/// scheduling-dependent — callers rely only on every-index-runs-once.
+/// One parallel_for invocation: runners claim indices from `next` in
+/// increasing order until it passes `count`. Which thread runs an index
+/// is scheduling-dependent — callers rely only on every-index-runs-once.
 struct ThreadPool::Job {
-  struct Deque {
-    std::mutex mutex;
-    std::deque<std::size_t> tasks;  // guarded by mutex
-    /// Mirror of tasks.size(), maintained under mutex, readable without
-    /// it — the steal scan probes sizes lock-free and TSan-clean.
-    std::atomic<std::size_t> approx_size{0};
-  };
-
-  explicit Job(std::size_t deque_count) : deques(deque_count) {}
-
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t count = 0;
   /// Ambient trace context captured at submission; tasks adopt it so
   /// spans opened inside them parent across the thread hop.
   obs::TraceContext trace_ctx;
   Clock::time_point submitted{};
-  std::vector<Deque> deques;
-  std::atomic<std::size_t> unclaimed{0};  // fast "any task left?" probe
+  std::atomic<std::size_t> next{0};  // next unclaimed index
   std::atomic<std::size_t> completed{0};
   std::mutex done_mutex;
   std::condition_variable done;
@@ -66,12 +52,6 @@ struct ThreadPool::Job {
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
-  depth_gauges_.reserve(threads + 1);
-  for (std::size_t w = 0; w <= threads; ++w) {
-    const std::string label = w < threads ? std::to_string(w) : "caller";
-    depth_gauges_.push_back(&obs::MetricsRegistry::global().gauge(
-        "appclass_engine_worker_queue_depth", {{"worker", label}}));
-  }
   workers_.reserve(threads);
   for (std::size_t w = 0; w < threads; ++w)
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -86,63 +66,17 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-bool ThreadPool::run_one(Job& job, std::size_t deque_hint) {
-  if (job.unclaimed.load(std::memory_order_acquire) == 0) return false;
+bool ThreadPool::run_one(Job& job) {
+  const std::size_t task = job.next.fetch_add(1);
+  if (task >= job.count) return false;
 
-  std::size_t task = 0;
-  bool claimed = false;
-  bool stolen = false;
-
-  {  // Own deque first (front: submission order).
-    Job::Deque& own = job.deques[deque_hint];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = own.tasks.front();
-      own.tasks.pop_front();
-      own.approx_size.store(own.tasks.size(), std::memory_order_relaxed);
-      depth_gauges_[deque_hint]->set(static_cast<double>(own.tasks.size()));
-      claimed = true;
-    }
-  }
-
-  while (!claimed) {
-    // Steal from the sibling with the most queued tasks (size probes are
-    // racy; the victim is re-checked under its lock).
-    std::size_t victim = job.deques.size();
-    std::size_t victim_size = 0;
-    for (std::size_t d = 0; d < job.deques.size(); ++d) {
-      if (d == deque_hint) continue;
-      const std::size_t s =
-          job.deques[d].approx_size.load(std::memory_order_relaxed);
-      if (s > victim_size) {
-        victim = d;
-        victim_size = s;
-      }
-    }
-    if (victim == job.deques.size()) return false;  // nothing visible
-    Job::Deque& target = job.deques[victim];
-    std::lock_guard<std::mutex> lock(target.mutex);
-    if (target.tasks.empty()) {
-      if (job.unclaimed.load(std::memory_order_acquire) == 0) return false;
-      continue;  // lost the race; re-scan
-    }
-    task = target.tasks.back();
-    target.tasks.pop_back();
-    target.approx_size.store(target.tasks.size(), std::memory_order_relaxed);
-    depth_gauges_[victim]->set(static_cast<double>(target.tasks.size()));
-    claimed = true;
-    stolen = true;
-  }
-
-  job.unclaimed.fetch_sub(1, std::memory_order_acq_rel);
   PoolMetrics& pm = pool_metrics();
   pm.queue_depth.add(-1.0);
-  if (stolen) pm.steals.inc();
   pm.job_wait.observe(
       std::chrono::duration<double>(Clock::now() - job.submitted).count());
 
   // Run the task under the submitter's trace context so any spans it
-  // opens parent to the submitting span, even across a steal.
+  // opens parent to the submitting span, whichever thread claimed it.
   std::optional<obs::ScopedTraceContext> adopted;
   if (job.trace_ctx.active()) adopted.emplace(job.trace_ctx);
 
@@ -175,14 +109,14 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
   while (true) {
     std::shared_ptr<Job> job;
     for (const auto& candidate : jobs_) {
-      if (candidate->unclaimed.load(std::memory_order_acquire) > 0) {
+      if (candidate->next.load() < candidate->count) {
         job = candidate;
         break;
       }
     }
     if (job) {
       lock.unlock();
-      while (run_one(*job, worker_index)) {
+      while (run_one(*job)) {
       }
       lock.lock();
       continue;
@@ -198,28 +132,18 @@ void ThreadPool::parallel_for(std::size_t count,
   PoolMetrics& pm = pool_metrics();
   pm.jobs.inc();
   pm.tasks.inc(count);
-  if (count == 1 || workers_.empty()) {
+  if (count == 1) {
     // Inline execution: same thread, so the ambient trace context is
     // already in place and there is no queue wait to measure.
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+    fn(0);
     return;
   }
 
-  // The caller gets the extra deque past the workers' and drains it first.
-  const std::size_t caller_deque = workers_.size();
-  auto job = std::make_shared<Job>(workers_.size() + 1);
+  auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->count = count;
   job->trace_ctx = obs::current_trace_context();
   job->submitted = Clock::now();
-  for (std::size_t i = 0; i < count; ++i)
-    job->deques[i % job->deques.size()].tasks.push_back(i);
-  for (std::size_t d = 0; d < job->deques.size(); ++d) {
-    job->deques[d].approx_size.store(job->deques[d].tasks.size(),
-                                     std::memory_order_relaxed);
-    depth_gauges_[d]->set(static_cast<double>(job->deques[d].tasks.size()));
-  }
-  job->unclaimed.store(count, std::memory_order_release);
   pm.queue_depth.add(static_cast<double>(count));
 
   {
@@ -230,7 +154,7 @@ void ThreadPool::parallel_for(std::size_t count,
 
   // Cooperative drain: the caller works its own job, so nested
   // parallel_for calls always make progress.
-  while (run_one(*job, caller_deque)) {
+  while (run_one(*job)) {
   }
 
   {
@@ -242,12 +166,7 @@ void ThreadPool::parallel_for(std::size_t count,
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      if (jobs_[j] == job) {
-        jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(j));
-        break;
-      }
-    }
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
   }
 
   std::exception_ptr error;

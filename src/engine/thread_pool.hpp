@@ -1,12 +1,13 @@
-// Fixed-size worker pool with per-worker work-stealing queues.
+// Fixed-size worker pool whose jobs hand out task indices from one shared
+// claim counter.
 //
 // The engine's unit of work is a *pool-sized task*: a shard of a few
-// hundred snapshots, one training pool, or one node's buffered stream —
-// coarse enough that a mutex per deque is noise, fine enough that an
-// uneven fleet (one 8000-snapshot pool among fifty small ones) still
-// balances. Tasks are distributed round-robin across the worker deques at
-// submission; a worker drained of its own deque steals from the busiest
-// sibling's tail.
+// hundred snapshots, one training pool, or one node's buffered stream.
+// Every job is a fixed index range [0, count) and no task adds tasks to
+// its own job, so each runner — worker or caller — claims the next index
+// with one atomic increment until the range is exhausted. An uneven fleet
+// (one 8000-snapshot pool among fifty small ones) still balances: a
+// runner that finishes early simply claims the next index.
 //
 // `parallel_for` is the only entry point and it is *cooperative*: the
 // calling thread claims and runs tasks of its own job alongside the
@@ -15,31 +16,24 @@
 // job even when all workers are busy elsewhere.
 //
 // Observability: `appclass_engine_queue_depth` gauge (tasks submitted but
-// not yet started), `appclass_engine_tasks_total`,
-// `appclass_engine_jobs_total`, and `appclass_engine_steals_total`
-// counters, `appclass_engine_job_wait_seconds` (submission-to-start
-// latency per task), and `appclass_engine_worker_queue_depth{worker=}`
-// gauges (per-deque backlog; shared across pool instances, last-write
-// wins — a monitoring view, not an invariant).
+// not yet claimed), `appclass_engine_tasks_total` and
+// `appclass_engine_jobs_total` counters, and
+// `appclass_engine_job_wait_seconds` (submission-to-claim latency per
+// task).
 //
 // Trace propagation: parallel_for captures the caller's ambient
 // obs::TraceContext into the job; every claimed task adopts it before
-// running, so spans opened inside tasks — even stolen ones on other
-// workers — parent to the submitting span.
+// running, so spans opened inside tasks — on whichever thread claims
+// them — parent to the submitting span.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-namespace appclass::obs {
-class Gauge;
-}
 
 namespace appclass::engine {
 
@@ -78,18 +72,15 @@ class ThreadPool {
   struct Job;
 
   void worker_loop(std::size_t worker_index);
-  /// Pops one task of `job` (own deque first, then steal); returns false
-  /// when the job has no unstarted tasks left.
-  bool run_one(Job& job, std::size_t deque_hint);
+  /// Claims and runs the next index of `job`; returns false when every
+  /// index has already been claimed.
+  bool run_one(Job& job);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;                    // guards jobs_ and stop_
   std::condition_variable work_ready_;  // workers wait here for jobs
   std::vector<std::shared_ptr<Job>> jobs_;
   bool stop_ = false;
-  /// Per-deque backlog gauges, indexed like Job::deques (workers then
-  /// caller); cached registry references, set under the deque mutexes.
-  std::vector<obs::Gauge*> depth_gauges_;
 };
 
 }  // namespace appclass::engine

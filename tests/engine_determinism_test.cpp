@@ -14,6 +14,7 @@
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
 #include "engine/fleet.hpp"
+#include "metrics/snapshot.hpp"
 #include "monitor/bus.hpp"
 #include "persist/checkpoint.hpp"
 
@@ -114,21 +115,31 @@ TEST(EngineDeterminism, FleetStreamDrainMatchesObserveByObserve) {
   monitor::MetricBus bus;
   bus_stream.attach(bus);
 
+  // The canonical pools all come from one node IP; re-stamp pool r as
+  // node 10.0.<r>.1 so the drain sees five distinct per-node streams.
+  std::vector<std::vector<metrics::Snapshot>> nodes;
+  std::vector<std::string> node_ips;
+  for (const auto& lp : canonical_pools()) {
+    node_ips.push_back("10.0." + std::to_string(nodes.size()) + ".1");
+    nodes.emplace_back(lp.pool.snapshots().begin(),
+                       lp.pool.snapshots().end());
+    for (auto& snapshot : nodes.back()) snapshot.node_ip = node_ips.back();
+  }
+
   // Interleave the five nodes' streams the way a bus would deliver them,
   // draining mid-stream at irregular points.
   std::size_t pushed = 0;
-  const auto& pools = canonical_pools();
   const std::size_t longest = [&] {
     std::size_t n = 0;
-    for (const auto& lp : pools) n = std::max(n, lp.pool.size());
+    for (const auto& node : nodes) n = std::max(n, node.size());
     return n;
   }();
   for (std::size_t i = 0; i < longest; ++i) {
-    for (const auto& lp : pools) {
-      if (i >= lp.pool.size()) continue;
-      reference.observe(lp.pool[i]);
-      stream.push(lp.pool[i]);
-      bus.announce(lp.pool[i]);
+    for (const auto& node : nodes) {
+      if (i >= node.size()) continue;
+      reference.observe(node[i]);
+      stream.push(node[i]);
+      bus.announce(node[i]);
       ++pushed;
       if (pushed % 97 == 0) {
         stream.drain();
@@ -140,6 +151,7 @@ TEST(EngineDeterminism, FleetStreamDrainMatchesObserveByObserve) {
   bus_stream.drain();
   bus_stream.detach();
   EXPECT_EQ(stream.backlog(), 0u);
+  EXPECT_EQ(reference.export_state().nodes.size(), node_ips.size());
   EXPECT_EQ(online_image(stream.online()), online_image(reference));
   EXPECT_EQ(online_image(bus_stream.online()), online_image(reference));
 
@@ -152,8 +164,7 @@ TEST(EngineDeterminism, FleetStreamDrainMatchesObserveByObserve) {
     EXPECT_EQ(stream_changes[i].from, reference_changes[i].from);
     EXPECT_EQ(stream_changes[i].to, reference_changes[i].to);
   }
-  for (const auto& lp : pools) {
-    const std::string& ip = lp.pool.node_ip();
+  for (const std::string& ip : node_ips) {
     EXPECT_EQ(stream.online().current_class(ip), reference.current_class(ip));
     EXPECT_EQ(stream.online().coverage(ip), reference.coverage(ip));
   }

@@ -1,12 +1,14 @@
 // Thread-pool and execution-context semantics, plus the concurrency
 // stress cases the TSan CI job runs: nested parallel_for, many small
-// jobs racing through the work-stealing deques, and concurrent online
-// streams pushing into a FleetStream while it drains.
+// jobs racing for the same claim counters, concurrent callers sharing one
+// pool, and concurrent online streams pushing into a FleetStream while it
+// drains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -15,6 +17,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
+#include "counting_allocator.hpp"
 #include "engine/context.hpp"
 #include "engine/fleet.hpp"
 #include "engine/thread_pool.hpp"
@@ -133,22 +136,72 @@ TEST(EngineThreadPool, CountsJobsAndJobWaits) {
   EXPECT_EQ(wait.count(), waits0 + 8);
 }
 
-TEST(EngineThreadPool, WorkerQueueDepthGaugesDrainToZero) {
+TEST(EngineThreadPool, QueueDepthGaugeDrainsToZero) {
   engine::ThreadPool pool(3);
   std::atomic<int> total{0};
   pool.parallel_for(64, [&](std::size_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 64);
-  // parallel_for returns only after every task has been claimed, so each
-  // per-worker depth gauge (including the caller's deque) reads zero.
-  const auto snapshot = obs::MetricsRegistry::global().snapshot();
-  std::size_t seen = 0;
-  for (const auto& g : snapshot.gauges) {
-    if (g.name != "appclass_engine_worker_queue_depth") continue;
-    EXPECT_EQ(g.value, 0.0) << g.labels[0].second;
-    ++seen;
+  // parallel_for returns only after every task has been claimed, and no
+  // other job is live, so the submitted-but-unclaimed gauge reads zero.
+  EXPECT_EQ(obs::MetricsRegistry::global()
+                .gauge("appclass_engine_queue_depth")
+                .value(),
+            0.0);
+}
+
+TEST(EngineThreadPool, ConcurrentCallersEachRunEveryIndexOnce) {
+  // Four external callers share one pool and every task nests a small
+  // job, so outer and inner jobs of all callers race for the same
+  // workers.
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kJobs = 100;
+  constexpr std::size_t kTasks = 257;
+  constexpr std::size_t kInner = 3;
+  engine::ThreadPool pool(3);
+  std::vector<std::atomic<int>> outer(kCallers * kJobs * kTasks);
+  std::vector<std::atomic<int>> inner(outer.size() * kInner);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t j = 0; j < kJobs; ++j) {
+        pool.parallel_for(kTasks, [&, c, j](std::size_t i) {
+          const std::size_t slot = (c * kJobs + j) * kTasks + i;
+          outer[slot].fetch_add(1);
+          pool.parallel_for(kInner, [&, slot](std::size_t k) {
+            inner[slot * kInner + k].fetch_add(1);
+          });
+        });
+      }
+    });
   }
-  // Workers "0".."2" plus the "caller" deque.
-  EXPECT_GE(seen, 4u);
+  for (auto& caller : callers) caller.join();
+  const auto not_once = [](const std::vector<std::atomic<int>>& runs) {
+    return std::count_if(runs.begin(), runs.end(), [](const auto& r) {
+      return r.load() != 1;
+    });
+  };
+  EXPECT_EQ(not_once(outer), 0);
+  EXPECT_EQ(not_once(inner), 0);
+}
+
+TEST(EngineThreadPool, ParallelForAllocationsDoNotGrowWithTaskCount) {
+  // A job's bookkeeping is one claim counter, whatever its task count.
+  engine::ThreadPool pool(4);
+  std::atomic<std::size_t> total{0};
+  const std::function<void(std::size_t)> fn = [&](std::size_t) {
+    total.fetch_add(1, std::memory_order_relaxed);
+  };
+  pool.parallel_for(64, fn);  // warm-up: metric registration, job list
+  std::vector<std::uint64_t> per_job;
+  for (const std::size_t count :
+       {std::size_t{8}, std::size_t{2000}, std::size_t{20000}}) {
+    const std::uint64_t before = allocations();
+    pool.parallel_for(count, fn);
+    per_job.push_back(allocations() - before);
+  }
+  EXPECT_EQ(total.load(), 64u + 8u + 2000u + 20000u);
+  EXPECT_EQ(per_job[1], per_job[0]);
+  EXPECT_EQ(per_job[2], per_job[0]);
 }
 
 TEST(EngineFleet, ConcurrentPushersAndDrainerAreRaceFree) {

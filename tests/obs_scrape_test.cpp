@@ -174,9 +174,13 @@ TEST(ObsScrapeRoutes, EveryRegisteredRouteHasItsOwnCounter) {
     EXPECT_EQ(std::count(paths.begin(), paths.end(), route), 1) << route;
 
   ASSERT_TRUE(server.start());
+  // The found pointer points into the snapshot, so the snapshot is held
+  // in a named local until the value is read.
   const auto count = [](const std::string& path) {
-    const auto* c = obs::MetricsRegistry::global().snapshot().find_counter(
-        "appclass_scrape_requests_total", {{"path", path}});
+    const obs::RegistrySnapshot snapshot =
+        obs::MetricsRegistry::global().snapshot();
+    const auto* c = snapshot.find_counter("appclass_scrape_requests_total",
+                                          {{"path", path}});
     return c ? c->value : std::uint64_t{0};
   };
   const std::uint64_t last_before = count(routes.back());
@@ -192,8 +196,10 @@ TEST(ObsScrapeRoutes, UnknownPathsCountUnderOtherAndAddNoSeries) {
   obs::ScrapeServer server;
   ASSERT_TRUE(server.start());
   const auto other = [] {
-    const auto* c = obs::MetricsRegistry::global().snapshot().find_counter(
-        "appclass_scrape_requests_total", {{"path", "other"}});
+    const obs::RegistrySnapshot snapshot =
+        obs::MetricsRegistry::global().snapshot();
+    const auto* c = snapshot.find_counter("appclass_scrape_requests_total",
+                                          {{"path", "other"}});
     return c ? c->value : std::uint64_t{0};
   };
   const std::size_t series_before = request_counter_paths().size();

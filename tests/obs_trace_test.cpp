@@ -122,7 +122,7 @@ TEST(ObsTrace, SpanTreeAcrossWorkers) {
   }
 
   // Engine shards parent to the sharded stages (pca_project / knn_query),
-  // whichever worker — or stolen deque — they actually ran on.
+  // whichever thread claimed and ran them.
   std::size_t shards = 0;
   for (const auto& e : events) {
     if (e.phase != obs::TraceEvent::Phase::kSpan || e.name != "engine_shard")
