@@ -12,6 +12,7 @@
 #include "dist/serving.hpp"
 #include "dist/shard.hpp"
 #include "obs/cardinality.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
 #include "obs/federate.hpp"
 #include "obs/recorder.hpp"
@@ -352,8 +353,9 @@ void Coordinator::add_fleet_routes() {
     // Live assembly (no cache): traces are an incident tool, and the
     // stitcher tolerates any subset of workers answering.
     std::vector<obs::TraceFleetPart> parts;
-    parts.push_back({"coordinator", obs::TraceRecorder::global()
-                                        .to_chrome_json(4 * 1024 * 1024)});
+    parts.push_back({"coordinator",
+                     obs::TraceRecorder::global().to_chrome_json(
+                         server_.options().max_trace_response_bytes)});
     for (std::size_t i = 0; i < config_.workers.size(); ++i) {
       dist::HttpResult res =
           dist::http_get_ex(config_.workers[i].host,

@@ -31,10 +31,17 @@ void ExecutionContext::for_shards(std::size_t n, std::size_t grain,
   if (n == 0) return;
   APPCLASS_EXPECTS(grain >= 1);
   const std::size_t shards = (n + grain - 1) / grain;
-  auto run_shard = [&](std::size_t s) {
-    const std::size_t begin = s * grain;
-    const std::size_t end = std::min(n, begin + grain);
-    fn(begin, end, s);
+  // One captured pointer keeps the closure inside std::function's inline
+  // buffer, so a pooled call allocates only the pool's job record.
+  const struct {
+    std::size_t n;
+    std::size_t grain;
+    const ShardFn& fn;
+  } loop{n, grain, fn};
+  auto run_shard = [l = &loop](std::size_t s) {
+    const std::size_t begin = s * l->grain;
+    const std::size_t end = std::min(l->n, begin + l->grain);
+    l->fn(begin, end, s);
   };
   if (!pool_) {
     for (std::size_t s = 0; s < shards; ++s) run_shard(s);

@@ -70,9 +70,8 @@ std::string prom_name(std::string_view name) {
   std::string out;
   out.reserve(name.size());
   for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9' && !out.empty()) || c == '_' ||
-                    c == ':';
+    const bool ok =
+        is_prom_name_char(c) && !(out.empty() && c >= '0' && c <= '9');
     out.push_back(ok ? c : '_');
   }
   return out.empty() ? "_" : out;
@@ -138,6 +137,25 @@ void json_escape_into(std::string& out, std::string_view s) {
         }
     }
   }
+}
+
+std::string json_quoted(std::string_view s) {
+  std::string out = "\"";
+  json_escape_into(out, s);
+  out.push_back('"');
+  return out;
+}
+
+std::string hex_id(std::uint64_t id) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof buffer, "%llx",
+                static_cast<unsigned long long>(id));
+  return buffer;
+}
+
+bool is_prom_name_char(char c) noexcept {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_' || c == ':';
 }
 
 std::string to_table(const RegistrySnapshot& snapshot) {
@@ -251,11 +269,8 @@ std::string to_json(const RegistrySnapshot& snapshot) {
     if (h.exemplar_trace_id != 0) {
       // Exemplars live in the JSON view only; the Prometheus text
       // exposition stays plain 0.0.4 so conformance parsers keep working.
-      char hex[24];
-      std::snprintf(hex, sizeof hex, "%llx",
-                    static_cast<unsigned long long>(h.exemplar_trace_id));
       out.append(",\"exemplar\":{\"trace_id\":\"");
-      out.append(hex);
+      out.append(hex_id(h.exemplar_trace_id));
       out.append("\",\"value\":");
       out.append(format_double(h.exemplar_value));
       out.push_back('}');

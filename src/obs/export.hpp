@@ -4,6 +4,7 @@
 //   * to_prometheus() — Prometheus text exposition format 0.0.4
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -16,6 +17,17 @@ enum class ExportFormat { kTable, kJson, kPrometheus };
 /// Appends `s` as the body of a JSON string: quote, backslash and every
 /// control character escaped. The one escaper every obs JSON writer uses.
 void json_escape_into(std::string& out, std::string_view s);
+
+/// `s` as a JSON string literal: quoted, and escaped as above.
+std::string json_quoted(std::string_view s);
+
+/// `id` in lowercase hex without a prefix: the form trace, span and
+/// exemplar ids take in every obs JSON writer.
+std::string hex_id(std::uint64_t id);
+
+/// A character of a Prometheus metric or label name, [a-zA-Z0-9_:]. The
+/// writer also keeps a digit from leading a name; the parser does not.
+bool is_prom_name_char(char c) noexcept;
 
 std::string to_table(const RegistrySnapshot& snapshot);
 std::string to_json(const RegistrySnapshot& snapshot);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -15,11 +14,6 @@ namespace appclass::obs {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-bool is_name_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_' || c == ':';
-}
 
 /// Reverses the label-value escaping in obs/export.cpp: `\\` -> `\`,
 /// `\"` -> `"`, `\n` -> newline. Any other escape is malformed.
@@ -54,7 +48,7 @@ bool parse_labels(std::string_view line, std::size_t& pos, Labels& out) {
   }
   while (pos < line.size()) {
     std::size_t key_end = pos;
-    while (key_end < line.size() && is_name_char(line[key_end])) ++key_end;
+    while (key_end < line.size() && is_prom_name_char(line[key_end])) ++key_end;
     if (key_end == pos || key_end + 1 >= line.size() ||
         line[key_end] != '=' || line[key_end + 1] != '"')
       return false;
@@ -169,7 +163,7 @@ std::optional<RegistrySnapshot> parse_prometheus(std::string_view text) {
 
     // Sample line: name[{labels}] value
     std::size_t pos = 0;
-    while (pos < line.size() && is_name_char(line[pos])) ++pos;
+    while (pos < line.size() && is_prom_name_char(line[pos])) ++pos;
     if (pos == 0) return std::nullopt;
     const std::string_view sample_name = line.substr(0, pos);
     Labels labels;
@@ -362,358 +356,6 @@ FederationResult federate_snapshots(const std::vector<FederationPart>& parts,
   result.merged.histograms.reserve(hists.size());
   for (auto& [key, h] : hists)
     result.merged.histograms.push_back(std::move(h));
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Chrome trace parsing + stitching
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Minimal recursive-descent JSON scanner: enough to walk the recorder's
-/// trace_event dialect while tolerating (and raw-capturing) anything it
-/// does not model.
-class JsonScanner {
- public:
-  explicit JsonScanner(std::string_view s)
-      : p_(s.data()), end_(s.data() + s.size()) {}
-
-  void skip_ws() {
-    while (p_ < end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                         *p_ == '\r'))
-      ++p_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (p_ >= end_ || *p_ != c) return false;
-    ++p_;
-    return true;
-  }
-
-  bool peek_is(char c) {
-    skip_ws();
-    return p_ < end_ && *p_ == c;
-  }
-
-  bool parse_string(std::string& out) {
-    out.clear();
-    skip_ws();
-    if (p_ >= end_ || *p_ != '"') return false;
-    ++p_;
-    while (p_ < end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (p_ >= end_) return false;
-      const char e = *p_++;
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (end_ - p_ < 4) return false;
-          unsigned code = 0;
-          if (std::from_chars(p_, p_ + 4, code, 16).ptr != p_ + 4) return false;
-          p_ += 4;
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: return false;
-      }
-    }
-    if (p_ >= end_) return false;
-    ++p_;  // closing quote
-    return true;
-  }
-
-  /// Parses any JSON value; when `raw` is non-null, captures its exact
-  /// source text (so re-serialization preserves numbers vs strings).
-  bool parse_value_raw(std::string* raw) {
-    skip_ws();
-    const char* start = p_;
-    if (p_ >= end_) return false;
-    bool ok = false;
-    if (*p_ == '"') {
-      std::string scratch;
-      ok = parse_string(scratch);
-    } else if (*p_ == '{') {
-      ++p_;
-      if (peek_is('}')) {
-        ok = consume('}');
-      } else {
-        while (true) {
-          std::string key;
-          if (!parse_string(key) || !consume(':') ||
-              !parse_value_raw(nullptr))
-            return false;
-          if (consume(',')) continue;
-          ok = consume('}');
-          break;
-        }
-      }
-    } else if (*p_ == '[') {
-      ++p_;
-      if (peek_is(']')) {
-        ok = consume(']');
-      } else {
-        while (true) {
-          if (!parse_value_raw(nullptr)) return false;
-          if (consume(',')) continue;
-          ok = consume(']');
-          break;
-        }
-      }
-    } else {
-      // number / true / false / null
-      const char* token = p_;
-      while (p_ < end_ &&
-             (std::strchr("+-.eE", *p_) != nullptr ||
-              (*p_ >= '0' && *p_ <= '9') || (*p_ >= 'a' && *p_ <= 'z')))
-        ++p_;
-      ok = p_ > token;
-    }
-    if (ok && raw) raw->assign(start, static_cast<std::size_t>(p_ - start));
-    return ok;
-  }
-
-  /// An integer literal that fits int64_t, the only form the trace
-  /// writers emit; 10.5, 1e30, nan and 2^63 are rejected, not cast.
-  bool parse_int(std::int64_t& out) {
-    std::string raw;
-    if (!parse_value_raw(&raw)) return false;
-    const char* end = raw.data() + raw.size();
-    const auto [ptr, ec] = std::from_chars(raw.data(), end, out);
-    return ec == std::errc{} && ptr == end;
-  }
-
- private:
-  const char* p_;
-  const char* end_;
-};
-
-bool parse_trace_event(JsonScanner& scanner, ChromeTraceEvent& event) {
-  if (!scanner.consume('{')) return false;
-  if (scanner.peek_is('}')) return scanner.consume('}');
-  while (true) {
-    std::string key;
-    if (!scanner.parse_string(key) || !scanner.consume(':')) return false;
-    bool ok = true;
-    if (key == "name") {
-      ok = scanner.parse_string(event.name);
-    } else if (key == "cat") {
-      ok = scanner.parse_string(event.cat);
-    } else if (key == "ph") {
-      ok = scanner.parse_string(event.ph);
-    } else if (key == "s") {
-      ok = scanner.parse_string(event.scope);
-    } else if (key == "pid") {
-      ok = scanner.parse_int(event.pid);
-    } else if (key == "tid") {
-      ok = scanner.parse_int(event.tid);
-    } else if (key == "ts") {
-      ok = scanner.parse_int(event.ts);
-    } else if (key == "dur") {
-      ok = scanner.parse_int(event.dur);
-      event.has_dur = true;
-    } else if (key == "args") {
-      if (!scanner.consume('{')) return false;
-      if (scanner.peek_is('}')) {
-        ok = scanner.consume('}');
-      } else {
-        while (true) {
-          std::string arg_key, raw;
-          if (!scanner.parse_string(arg_key) || !scanner.consume(':') ||
-              !scanner.parse_value_raw(&raw))
-            return false;
-          event.args.emplace_back(std::move(arg_key), std::move(raw));
-          if (scanner.consume(',')) continue;
-          ok = scanner.consume('}');
-          break;
-        }
-      }
-    } else {
-      ok = scanner.parse_value_raw(nullptr);
-    }
-    if (!ok) return false;
-    if (scanner.consume(',')) continue;
-    return scanner.consume('}');
-  }
-}
-
-void serialize_event_into(std::string& out, const ChromeTraceEvent& e) {
-  out.append("\n{\"name\":\"");
-  json_escape_into(out, e.name);
-  out.append("\",\"ph\":\"");
-  json_escape_into(out, e.ph);
-  out.push_back('"');
-  if (!e.cat.empty()) {
-    out.append(",\"cat\":\"");
-    json_escape_into(out, e.cat);
-    out.push_back('"');
-  }
-  if (!e.scope.empty()) {
-    out.append(",\"s\":\"");
-    json_escape_into(out, e.scope);
-    out.push_back('"');
-  }
-  out.append(",\"pid\":");
-  out.append(std::to_string(e.pid));
-  out.append(",\"tid\":");
-  out.append(std::to_string(e.tid));
-  out.append(",\"ts\":");
-  out.append(std::to_string(e.ts));
-  if (e.has_dur) {
-    out.append(",\"dur\":");
-    out.append(std::to_string(e.dur));
-  }
-  out.append(",\"args\":{");
-  bool first = true;
-  for (const auto& [key, raw] : e.args) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    json_escape_into(out, key);
-    out.append("\":");
-    out.append(raw);
-  }
-  out.append("}}");
-}
-
-}  // namespace
-
-std::optional<ChromeTrace> parse_chrome_trace(std::string_view json) {
-  JsonScanner scanner(json);
-  ChromeTrace trace;
-  if (!scanner.consume('{')) return std::nullopt;
-  if (scanner.peek_is('}')) {
-    scanner.consume('}');
-    return trace;
-  }
-  while (true) {
-    std::string key;
-    if (!scanner.parse_string(key) || !scanner.consume(':'))
-      return std::nullopt;
-    bool ok = true;
-    if (key == "traceEvents") {
-      if (!scanner.consume('[')) return std::nullopt;
-      if (scanner.peek_is(']')) {
-        ok = scanner.consume(']');
-      } else {
-        while (true) {
-          ChromeTraceEvent event;
-          if (!parse_trace_event(scanner, event)) return std::nullopt;
-          trace.events.push_back(std::move(event));
-          if (scanner.consume(',')) continue;
-          ok = scanner.consume(']');
-          break;
-        }
-      }
-    } else if (key == "epochWallUs") {
-      ok = scanner.parse_int(trace.epoch_wall_us);
-    } else if (key == "droppedEvents") {
-      std::int64_t dropped = 0;
-      ok = scanner.parse_int(dropped);
-      if (dropped > 0)
-        trace.dropped_events = static_cast<std::uint64_t>(dropped);
-    } else {
-      ok = scanner.parse_value_raw(nullptr);
-    }
-    if (!ok) return std::nullopt;
-    if (scanner.consume(',')) continue;
-    if (!scanner.consume('}')) return std::nullopt;
-    return trace;
-  }
-}
-
-StitchResult stitch_chrome_traces(const std::vector<TraceFleetPart>& parts) {
-  StitchResult result;
-  struct Parsed {
-    std::string process;
-    ChromeTrace trace;
-  };
-  std::vector<Parsed> parsed;
-  parsed.reserve(parts.size());
-  for (const TraceFleetPart& part : parts) {
-    auto trace = parse_chrome_trace(part.json);
-    if (!trace) {
-      ++result.parts_failed;
-      continue;
-    }
-    parsed.push_back({part.process, std::move(*trace)});
-  }
-  result.parts_stitched = parsed.size();
-
-  // Earliest known recorder epoch anchors the merged time axis; parts
-  // without an anchor (legacy dumps) keep their native timestamps.
-  std::int64_t base_wall_us = 0;
-  for (const Parsed& p : parsed)
-    if (p.trace.epoch_wall_us != 0 &&
-        (base_wall_us == 0 || p.trace.epoch_wall_us < base_wall_us))
-      base_wall_us = p.trace.epoch_wall_us;
-
-  std::vector<ChromeTraceEvent> metadata;
-  std::vector<ChromeTraceEvent> events;
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    const std::int64_t pid = static_cast<std::int64_t>(i) + 1;
-    const std::int64_t shift =
-        (parsed[i].trace.epoch_wall_us != 0 && base_wall_us != 0)
-            ? parsed[i].trace.epoch_wall_us - base_wall_us
-            : 0;
-    ChromeTraceEvent label;
-    label.name = "process_name";
-    label.ph = "M";
-    label.pid = pid;
-    std::string quoted = "\"";
-    json_escape_into(quoted, parsed[i].process);
-    quoted.push_back('"');
-    label.args.emplace_back("name", std::move(quoted));
-    metadata.push_back(std::move(label));
-    for (ChromeTraceEvent& e : parsed[i].trace.events) {
-      e.pid = pid;
-      e.ts += shift;
-      events.push_back(std::move(e));
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const ChromeTraceEvent& a, const ChromeTraceEvent& b) {
-                     return a.ts < b.ts;
-                   });
-
-  std::string out;
-  out.reserve(128 + (metadata.size() + events.size()) * 160);
-  out.append("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-  bool first = true;
-  for (const ChromeTraceEvent& e : metadata) {
-    if (!first) out.push_back(',');
-    first = false;
-    serialize_event_into(out, e);
-  }
-  for (const ChromeTraceEvent& e : events) {
-    if (!first) out.push_back(',');
-    first = false;
-    serialize_event_into(out, e);
-  }
-  out.append("\n]}\n");
-  result.events = metadata.size() + events.size();
-  result.json = std::move(out);
   return result;
 }
 

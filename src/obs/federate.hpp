@@ -1,9 +1,10 @@
-// Fleet metrics federation and cross-process trace assembly.
+// Fleet metrics federation.
 //
-// A sharded fleet leaves every worker's registry and flight recorder an
-// island: each worker exports Prometheus 0.0.4 text at /metrics and a
-// Chrome trace at /traces/recent, but nothing aggregates them. This
-// module is the coordinator-side half of the observability plane:
+// A sharded fleet leaves every worker's registry an island: each worker
+// exports Prometheus 0.0.4 text at /metrics, but nothing aggregates
+// them. This module is the coordinator-side half of the metrics plane
+// (the trace half, stitch_chrome_traces(), lives in obs/chrome_trace.hpp
+// with the rest of the Chrome trace codec):
 //
 //   * parse_prometheus() re-ingests the exact dialect obs/export.cpp
 //     emits (# TYPE lines; counters as integers; gauges as %.9g;
@@ -18,22 +19,11 @@
 //     included), and gauges — which are not summable — gain a
 //     `worker=<id>` label, guarded by a BoundedLabelSet so a churning
 //     fleet cannot explode series cardinality.
-//
-//   * parse_chrome_trace() / stitch_chrome_traces() reassemble the
-//     per-process flight-recorder dumps into one Chrome trace: each
-//     process gets its own pid lane (with a process_name metadata
-//     record), and timestamps are aligned across processes via the
-//     `epochWallUs` anchor the recorder stamps into its dump. Sender-side
-//     `dist_announce` spans and worker-side `dist_ingest` spans share a
-//     trace id through the wire header, so the stitched view shows one
-//     announce crossing process boundaries — the Dapper assembly step.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/cardinality.hpp"
@@ -72,53 +62,5 @@ struct FederationResult {
 /// gauge series (e.g. two overflow workers) keep the last value.
 FederationResult federate_snapshots(const std::vector<FederationPart>& parts,
                                     BoundedLabelSet* worker_labels = nullptr);
-
-/// One event from a Chrome trace_event dump. `args` values keep their
-/// raw JSON text so numbers and strings survive re-serialization.
-struct ChromeTraceEvent {
-  std::string name;
-  std::string cat;
-  std::string ph;       ///< "X" span, "i" instant, "M" metadata, ...
-  std::string scope;    ///< instant scope ("t"), empty otherwise
-  std::int64_t pid = 0;
-  std::int64_t tid = 0;
-  std::int64_t ts = 0;  ///< microseconds
-  std::int64_t dur = 0;
-  bool has_dur = false;
-  std::vector<std::pair<std::string, std::string>> args;  ///< key, raw JSON
-};
-
-struct ChromeTrace {
-  std::vector<ChromeTraceEvent> events;
-  /// Wall-clock microseconds of the emitting process's recorder epoch
-  /// (`epochWallUs` in the dump); 0 when the dump predates the anchor.
-  std::int64_t epoch_wall_us = 0;
-  std::uint64_t dropped_events = 0;  ///< truncated by the dump's byte cap
-};
-
-/// Parses a Chrome trace_event JSON document ({"traceEvents":[...]}).
-/// Tolerates unknown keys at every level; nullopt on syntax errors.
-std::optional<ChromeTrace> parse_chrome_trace(std::string_view json);
-
-/// One process's flight-recorder dump, as fetched from /traces/recent.
-struct TraceFleetPart {
-  std::string process;  ///< pid-lane display name ("coordinator", ...)
-  std::string json;
-};
-
-struct StitchResult {
-  std::string json;                ///< merged Chrome trace document
-  std::size_t parts_stitched = 0;  ///< parts that parsed and were merged
-  std::size_t parts_failed = 0;    ///< parts dropped as unparseable
-  std::size_t events = 0;          ///< events in the stitched trace
-};
-
-/// Stitches per-process dumps into one Chrome trace: part i's events move
-/// to pid i+1 (a process_name metadata record labels the lane), and each
-/// part's timestamps shift by its wall-clock epoch so spans from
-/// different processes line up on one axis. Unparseable parts are
-/// skipped and counted, never fatal — a half-stitched fleet trace beats
-/// none during an incident.
-StitchResult stitch_chrome_traces(const std::vector<TraceFleetPart>& parts);
 
 }  // namespace appclass::obs

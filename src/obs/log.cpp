@@ -54,7 +54,7 @@ void append_value(std::string& out, std::string_view v) {
 
 }  // namespace
 
-LogField::LogField(std::string_view k, double v) : key(k) {
+Attr::Attr(std::string_view k, double v) : key(k) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.6g", v);
   value = buffer;
@@ -117,7 +117,7 @@ void Logger::configure_from_env() {
 }
 
 void Logger::emit(LogLevel level, std::string_view event,
-                  std::initializer_list<LogField> fields) {
+                  std::initializer_list<Attr> fields) {
   const auto now = std::chrono::system_clock::now().time_since_epoch();
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(now).count();
@@ -132,7 +132,7 @@ void Logger::emit(LogLevel level, std::string_view event,
   line.append(to_string(level));
   line.push_back(' ');
   line.append(event);
-  for (const LogField& f : fields) {
+  for (const Attr& f : fields) {
     line.push_back(' ');
     line.append(f.key);
     line.push_back('=');
@@ -144,7 +144,7 @@ void Logger::emit(LogLevel level, std::string_view event,
   // lock, so recorder dumps interleave log lines with spans.
   if (tracing_enabled())
     TraceRecorder::global().record_instant(
-        event, current_trace_context(), {SpanAttr("log", line)});
+        event, current_trace_context(), {Attr("log", line)});
 
   std::lock_guard<std::mutex> lock(g_sink_mutex);
   if (g_sink) {

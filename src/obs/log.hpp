@@ -21,6 +21,7 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace appclass::obs {
 
@@ -40,21 +41,22 @@ std::string_view to_string(LogLevel level) noexcept;
 LogLevel parse_log_level(std::string_view text,
                          LogLevel fallback = LogLevel::kOff) noexcept;
 
-/// One key=value pair in a log record. The value is formatted eagerly, but
-/// only after the level guard has passed (see the macros below).
-struct LogField {
+/// One key=value pair: a field of a log record or an attribute of a span
+/// (obs/trace.hpp). The value is formatted eagerly, so call sites build
+/// one only after the level guard (see the macros below) or
+/// TraceSpan::recording() has passed.
+struct Attr {
   std::string key;
   std::string value;
 
-  LogField(std::string_view k, std::string_view v) : key(k), value(v) {}
-  LogField(std::string_view k, const char* v) : key(k), value(v) {}
-  LogField(std::string_view k, const std::string& v) : key(k), value(v) {}
-  LogField(std::string_view k, bool v)
-      : key(k), value(v ? "true" : "false") {}
-  LogField(std::string_view k, double v);
+  Attr(std::string_view k, std::string_view v) : key(k), value(v) {}
+  Attr(std::string_view k, const char* v) : key(k), value(v) {}
+  Attr(std::string_view k, const std::string& v) : key(k), value(v) {}
+  Attr(std::string_view k, bool v) : key(k), value(v ? "true" : "false") {}
+  Attr(std::string_view k, double v);  ///< %.6g
   template <typename T>
     requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
-  LogField(std::string_view k, T v) : key(k), value(std::to_string(v)) {}
+  Attr(std::string_view k, T v) : key(k), value(std::to_string(v)) {}
 };
 
 /// Process-wide logger configuration. All members are safe to call from
@@ -89,7 +91,7 @@ class Logger {
   /// Formats and emits one record. Call through the macros so disabled
   /// levels cost a single atomic load.
   void emit(LogLevel level, std::string_view event,
-            std::initializer_list<LogField> fields);
+            std::initializer_list<Attr> fields);
 
  private:
   Logger() = default;

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstdio>
 
+#include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
 
 namespace appclass::obs {
@@ -15,7 +16,7 @@ using Clock = std::chrono::steady_clock;
 
 /// Monotonic and wall-clock views of the same instant: the monotonic
 /// half timestamps events, the wall half anchors this process's dump on
-/// a fleet-wide time axis (see obs/federate.hpp).
+/// a fleet-wide time axis (see obs/chrome_trace.hpp).
 struct EpochAnchor {
   Clock::time_point steady;
   std::int64_t wall_us;
@@ -31,13 +32,6 @@ const EpochAnchor& recorder_epoch() noexcept {
     return anchor;
   }();
   return epoch;
-}
-
-void append_hex(std::string& out, std::uint64_t v) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "%llx",
-                static_cast<unsigned long long>(v));
-  out.append(buffer);
 }
 
 }  // namespace
@@ -122,7 +116,7 @@ TraceRecorder::ThreadRing& TraceRecorder::ring_for_this_thread() {
 void TraceRecorder::record_span(std::string_view name,
                                 const TraceContext& context,
                                 std::int64_t ts_us, std::int64_t dur_us,
-                                std::vector<SpanAttr> attrs) {
+                                std::vector<Attr> attrs) {
   TraceEvent event;
   event.phase = TraceEvent::Phase::kSpan;
   event.name = name;
@@ -137,7 +131,7 @@ void TraceRecorder::record_span(std::string_view name,
 
 void TraceRecorder::record_instant(std::string_view name,
                                    const TraceContext& context,
-                                   std::vector<SpanAttr> attrs) {
+                                   std::vector<Attr> attrs) {
   TraceEvent event;
   event.phase = TraceEvent::Phase::kInstant;
   event.name = name;
@@ -198,94 +192,42 @@ void TraceRecorder::clear() {
 
 namespace {
 
-/// One event as a standalone JSON chunk (leading newline, no separator
-/// comma) so the capped dump can budget per event.
-std::string event_chunk(const TraceEvent& e) {
-  std::string out;
-  out.reserve(160);
-  out.append("\n{\"name\":\"");
-  json_escape_into(out, e.name);
-  out.append("\",\"cat\":\"appclass\",\"ph\":\"");
-  out.append(e.phase == TraceEvent::Phase::kSpan ? "X" : "i");
-  out.push_back('"');
-  if (e.phase == TraceEvent::Phase::kInstant) out.append(",\"s\":\"t\"");
-  out.append(",\"pid\":1,\"tid\":");
-  out.append(std::to_string(e.tid));
-  out.append(",\"ts\":");
-  out.append(std::to_string(e.ts_us));
-  if (e.phase == TraceEvent::Phase::kSpan) {
-    out.append(",\"dur\":");
-    out.append(std::to_string(e.dur_us));
-  }
-  out.append(",\"args\":{");
-  bool first_arg = true;
+/// A recorded event in the Chrome dialect: spans as "X" complete events,
+/// instants as thread-scoped "i" events, all in pid 1, with the ids (in
+/// hex) and then the attributes as string args.
+ChromeTraceEvent to_chrome_event(TraceEvent& e) {
+  const bool span = e.phase == TraceEvent::Phase::kSpan;
+  ChromeTraceEvent out{.name = std::move(e.name),
+                       .cat = "appclass",
+                       .ph = span ? "X" : "i",
+                       .scope = span ? "" : "t",
+                       .pid = 1,
+                       .tid = e.tid,
+                       .ts = e.ts_us,
+                       .dur = e.dur_us,
+                       .has_dur = span,
+                       .args = {}};
   if (e.context.active()) {
-    out.append("\"trace_id\":\"");
-    append_hex(out, e.context.trace_id);
-    out.append("\",\"span_id\":\"");
-    append_hex(out, e.context.span_id);
-    out.append("\",\"parent_span_id\":\"");
-    append_hex(out, e.context.parent_span_id);
-    out.push_back('"');
-    first_arg = false;
+    const TraceContext& ids = e.context;
+    out.args.emplace_back("trace_id", json_quoted(hex_id(ids.trace_id)));
+    out.args.emplace_back("span_id", json_quoted(hex_id(ids.span_id)));
+    out.args.emplace_back("parent_span_id",
+                          json_quoted(hex_id(ids.parent_span_id)));
   }
-  for (const SpanAttr& attr : e.attrs) {
-    if (!first_arg) out.push_back(',');
-    first_arg = false;
-    out.push_back('"');
-    json_escape_into(out, attr.key);
-    out.append("\":\"");
-    json_escape_into(out, attr.value);
-    out.push_back('"');
-  }
-  out.append("}}");
+  for (Attr& attr : e.attrs)
+    out.args.emplace_back(std::move(attr.key), json_quoted(attr.value));
   return out;
 }
 
 }  // namespace
 
 std::string TraceRecorder::to_chrome_json(std::size_t max_bytes) const {
-  const std::vector<TraceEvent> all = events();
-  std::vector<std::string> chunks;
-  chunks.reserve(all.size());
-  for (const TraceEvent& e : all) chunks.push_back(event_chunk(e));
-
-  std::string header = "{\"displayTimeUnit\":\"ms\",\"epochWallUs\":";
-  header.append(std::to_string(recorder_epoch_wall_us()));
-  header.append(",\"traceEvents\":[");
-
-  // Keep the newest events that fit the byte budget (the tail of the
-  // sorted-ascending list); the drop count makes truncation visible.
-  std::size_t begin = 0;
-  if (max_bytes > 0) {
-    // "\n],\"droppedEvents\":<u64>}\n" upper bound.
-    const std::size_t footer_reserve = 24 + 20;
-    std::size_t budget = max_bytes > header.size() + footer_reserve
-                             ? max_bytes - header.size() - footer_reserve
-                             : 0;
-    begin = chunks.size();
-    while (begin > 0 && chunks[begin - 1].size() + 1 <= budget) {
-      budget -= chunks[begin - 1].size() + 1;
-      --begin;
-    }
-  }
-  const std::size_t dropped = begin;
-
-  std::string out;
-  out.reserve(header.size() + 64 + (chunks.size() - begin) * 160);
-  out.append(header);
-  for (std::size_t i = begin; i < chunks.size(); ++i) {
-    if (i > begin) out.push_back(',');
-    out.append(chunks[i]);
-  }
-  if (dropped > 0) {
-    out.append("\n],\"droppedEvents\":");
-    out.append(std::to_string(dropped));
-    out.append("}\n");
-  } else {
-    out.append("\n]}\n");
-  }
-  return out;
+  ChromeTrace trace;
+  trace.epoch_wall_us = recorder_epoch_wall_us();
+  std::vector<TraceEvent> all = events();
+  trace.events.reserve(all.size());
+  for (TraceEvent& e : all) trace.events.push_back(to_chrome_event(e));
+  return write_chrome_trace(trace, max_bytes);
 }
 
 bool TraceRecorder::dump_to_file(const std::string& path) const {

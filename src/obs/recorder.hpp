@@ -2,7 +2,8 @@
 // log events, always-on capture when tracing is enabled, dumped as Chrome
 // trace_event JSON (loadable in Perfetto / chrome://tracing) on demand,
 // on crash, or through `appclass_cli trace dump` and the scrape server's
-// /traces/recent route.
+// /traces/recent route. The dump is written by obs/chrome_trace.hpp, the
+// codec the fleet's trace stitcher shares.
 //
 // Design: every recording thread owns a fixed-size ring (overwrite-oldest)
 // guarded by a per-thread mutex that only the dumper ever contends —
@@ -45,7 +46,7 @@ struct TraceEvent {
   std::uint32_t tid = 0;     ///< recorder-assigned thread index
   std::int64_t ts_us = 0;    ///< start, relative to the recorder epoch
   std::int64_t dur_us = 0;   ///< kSpan only
-  std::vector<SpanAttr> attrs;
+  std::vector<Attr> attrs;
 };
 
 class TraceRecorder {
@@ -63,9 +64,9 @@ class TraceRecorder {
 
   void record_span(std::string_view name, const TraceContext& context,
                    std::int64_t ts_us, std::int64_t dur_us,
-                   std::vector<SpanAttr> attrs);
+                   std::vector<Attr> attrs);
   void record_instant(std::string_view name, const TraceContext& context,
-                      std::vector<SpanAttr> attrs);
+                      std::vector<Attr> attrs);
 
   /// Ring capacity for threads that have not recorded yet (existing rings
   /// keep their size). Call before the workload of interest.
@@ -78,9 +79,9 @@ class TraceRecorder {
   /// Retained event count across all rings.
   std::size_t size() const;
 
-  /// Chrome trace_event JSON ({"traceEvents":[...]}): "X" complete events
-  /// for spans, "i" instants for log records, ids and span attributes
-  /// under "args", plus an `epochWallUs` wall-clock anchor for
+  /// Chrome trace_event JSON through write_chrome_trace(): "X" complete
+  /// events for spans, "i" instants for log records, ids and span
+  /// attributes under "args", plus an `epochWallUs` wall-clock anchor for
   /// cross-process stitching. `max_bytes` > 0 bounds the response for
   /// network serving: the oldest events are dropped until the document
   /// fits, and a `droppedEvents` count records the truncation. 0 means

@@ -42,11 +42,11 @@ struct ScrapeServerOptions {
   /// Requests larger than this (without a complete header block) are
   /// answered 431 and closed instead of buffered without bound.
   std::size_t max_request_bytes = 8 * 1024;
-  /// Byte cap on the /traces/recent response: the flight recorder keeps
-  /// up to capacity * threads events, and an unbounded dump over a slow
-  /// connection would wedge the accept thread. The oldest events drop
-  /// first (to_chrome_json's `droppedEvents` marks the cut). 0 =
-  /// unbounded.
+  /// Byte cap on the /traces/recent response and on a coordinator's own
+  /// part of /fleet/traces: the flight recorder keeps up to capacity *
+  /// threads events, and an unbounded dump over a slow connection would
+  /// wedge the accept thread. The oldest events drop first
+  /// (to_chrome_json's `droppedEvents` marks the cut). 0 = unbounded.
   std::size_t max_trace_response_bytes = 4 * 1024 * 1024;
   /// Minimum interval between /traces/recent dumps; requests inside the
   /// window get 429 Too Many Requests. Dumping walks and serializes
@@ -95,6 +95,8 @@ class ScrapeServer {
 
   /// The bound port (resolves port 0 requests); 0 before start().
   std::uint16_t port() const noexcept { return server_.port(); }
+
+  const ScrapeServerOptions& options() const noexcept { return options_; }
 
  private:
   struct Route {

@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -48,12 +47,6 @@ ScopedTraceContext::ScopedTraceContext(const TraceContext& adopted) noexcept
 }
 
 ScopedTraceContext::~ScopedTraceContext() { t_current = saved_; }
-
-SpanAttr::SpanAttr(std::string_view k, double v) : key(k) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.6g", v);
-  value = buffer;
-}
 
 Histogram& stage_histogram(std::string_view stage) {
   return MetricsRegistry::global().histogram(
@@ -102,7 +95,7 @@ double TraceSpan::finish(std::uint64_t items) noexcept {
   return std::chrono::duration<double>(end_ - start_).count();
 }
 
-void TraceSpan::add_attr(SpanAttr attr) {
+void TraceSpan::add_attr(Attr attr) {
   if (recording_) attrs_.push_back(std::move(attr));
 }
 

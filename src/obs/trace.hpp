@@ -28,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace appclass::obs {
@@ -69,22 +70,6 @@ class ScopedTraceContext {
   TraceContext saved_;
 };
 
-/// One structured span attribute. The value is formatted eagerly, so
-/// call sites construct attrs only after checking TraceSpan::recording();
-/// add_attr drops them when not recording, but only after formatting.
-struct SpanAttr {
-  std::string key;
-  std::string value;
-
-  SpanAttr(std::string_view k, std::string_view v) : key(k), value(v) {}
-  SpanAttr(std::string_view k, const char* v) : key(k), value(v) {}
-  SpanAttr(std::string_view k, const std::string& v) : key(k), value(v) {}
-  SpanAttr(std::string_view k, double v);
-  template <typename T>
-    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
-  SpanAttr(std::string_view k, T v) : key(k), value(std::to_string(v)) {}
-};
-
 /// The one histogram family every pipeline stage reports to:
 /// `appclass_stage_seconds{stage=<name>}` on the global registry.
 Histogram& stage_histogram(std::string_view stage);
@@ -112,7 +97,7 @@ class TraceSpan {
 
   /// Attaches a structured attribute; dropped when not recording.
   /// Attributes added after stop() are kept but not timed.
-  void add_attr(SpanAttr attr);
+  void add_attr(Attr attr);
 
   /// Fixes the end reading now, observes the histogram and returns the
   /// elapsed seconds (0 for an untimed span: no histogram, tracing off).
@@ -139,7 +124,7 @@ class TraceSpan {
   Histogram* histogram_ = nullptr;
   Clock::time_point start_;
   Clock::time_point end_;
-  std::vector<SpanAttr> attrs_;
+  std::vector<Attr> attrs_;
 };
 
 }  // namespace appclass::obs

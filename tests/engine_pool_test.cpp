@@ -204,6 +204,35 @@ TEST(EngineThreadPool, ParallelForAllocationsDoNotGrowWithTaskCount) {
   EXPECT_EQ(per_job[2], per_job[0]);
 }
 
+TEST(EngineContext, PooledForShardsAllocatesLikeOneParallelFor) {
+  // A pooled for_shards call costs the job record parallel_for makes and
+  // nothing more: its shard closure fits std::function's inline buffer.
+  engine::ThreadPool pool(4);
+  const engine::ExecutionContext context(4);
+  std::atomic<std::size_t> shards{0};
+  std::atomic<std::size_t> tasks{0};
+  const engine::ExecutionContext::ShardFn shard_fn =
+      [&](std::size_t, std::size_t, std::size_t) {
+        shards.fetch_add(1, std::memory_order_relaxed);
+      };
+  const std::function<void(std::size_t)> task_fn = [&](std::size_t) {
+    tasks.fetch_add(1, std::memory_order_relaxed);
+  };
+  context.for_shards(4096, 256, shard_fn);  // warm-up: metric registration
+  pool.parallel_for(16, task_fn);
+
+  const std::uint64_t before_shards = allocations();
+  context.for_shards(4096, 256, shard_fn);
+  const std::uint64_t shard_allocations = allocations() - before_shards;
+  const std::uint64_t before_tasks = allocations();
+  pool.parallel_for(16, task_fn);
+  const std::uint64_t task_allocations = allocations() - before_tasks;
+
+  EXPECT_EQ(shards.load(), 32u);
+  EXPECT_EQ(tasks.load(), 32u);
+  EXPECT_EQ(shard_allocations, task_allocations);
+}
+
 TEST(EngineFleet, ConcurrentPushersAndDrainerAreRaceFree) {
   // Many producer threads announce interleaved node streams onto a bus
   // the stream is attached to, while the consumer drains concurrently —

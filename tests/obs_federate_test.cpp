@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/cardinality.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 
@@ -335,6 +336,21 @@ TEST(ObsFederateChrome, StitchAssignsPidLanesAndAlignsEpochs) {
   EXPECT_EQ(ingest.name, "ingest");
   EXPECT_EQ(ingest.pid, 2);
   EXPECT_EQ(ingest.ts, 105);
+}
+
+TEST(ObsFederateChrome, StitchKeepsEachPartsTruncation) {
+  const std::vector<TraceFleetPart> parts = {
+      {"coordinator",
+       "{\"epochWallUs\":2000,\"droppedEvents\":3,\"traceEvents\":[]}"},
+      {"worker-0",
+       "{\"epochWallUs\":1000,\"droppedEvents\":4,\"traceEvents\":["
+       "{\"name\":\"e\",\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":5}]}"},
+  };
+  const auto merged = parse_chrome_trace(stitch_chrome_traces(parts).json);
+  ASSERT_TRUE(merged.has_value());
+  // Both parts' cuts stay visible, on the earliest part's time axis.
+  EXPECT_EQ(merged->dropped_events, 7u);
+  EXPECT_EQ(merged->epoch_wall_us, 1000);
 }
 
 TEST(ObsFederateChrome, StitchWithoutEpochKeepsNativeTimestamps) {

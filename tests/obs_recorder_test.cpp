@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -237,6 +238,76 @@ TEST(ObsRecorder, ChromeJsonIsStructurallyValid) {
   // Ids rendered as hex strings under args.
   EXPECT_NE(json.find("\"trace_id\":\"7\""), std::string::npos);
   EXPECT_NE(json.find("\"parent_span_id\":\"8\""), std::string::npos);
+}
+
+/// `json` with the digit run after each `key` replaced by `mask`: the
+/// clock-stamped fields a known-answer comparison cannot pin.
+std::string mask_digits_after(std::string json, const std::string& key,
+                              const std::string& mask) {
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + key.size())) {
+    const std::size_t begin = at + key.size();
+    std::size_t end = begin;
+    while (end < json.size() &&
+           std::isdigit(static_cast<unsigned char>(json[end])))
+      ++end;
+    json.replace(begin, end - begin, mask);
+  }
+  return json;
+}
+
+TEST(ObsRecorder, ChromeJsonKnownAnswer) {
+  obs::TraceRecorder recorder;
+  recorder.record_span("classify \"pool\"\n", make_context(31, 171, 0), 100,
+                       50,
+                       {{"node_ip", "10.0.0.1"},
+                        {"note", "tab\there \"q\" back\\slash\x01"},
+                        {"margin", 0.25},
+                        {"snapshots", 51}});
+  recorder.record_span("vote", make_context(31, 172, 171), 120, 7, {});
+  recorder.record_span("plain", obs::TraceContext{}, 200, 10, {});
+  // Instants are stamped with the recorder clock: anchor its epoch and
+  // let 1 ms pass, so the instant sorts after the explicit span stamps.
+  (void)obs::recorder_epoch_wall_us();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  recorder.record_instant("log.line", make_context(31, 173, 171),
+                          {{"log", "a=1 b=\"x y\""}});
+
+  const auto masked = [](const std::string& json) {
+    return mask_digits_after(
+        mask_digits_after(json, "\"epochWallUs\":", "E"),
+        "\"s\":\"t\",\"pid\":1,\"tid\":0,\"ts\":", "T");
+  };
+  const std::string classify_event =
+      "\n{\"name\":\"classify \\\"pool\\\"\\n\",\"cat\":\"appclass\","
+      "\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":100,\"dur\":50,"
+      "\"args\":{\"trace_id\":\"1f\",\"span_id\":\"ab\","
+      "\"parent_span_id\":\"0\",\"node_ip\":\"10.0.0.1\","
+      "\"note\":\"tab\\there \\\"q\\\" back\\\\slash\\u0001\","
+      "\"margin\":\"0.25\",\"snapshots\":\"51\"}}";
+  const std::string newer_events =
+      "\n{\"name\":\"vote\",\"cat\":\"appclass\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":0,\"ts\":120,\"dur\":7,\"args\":{\"trace_id\":\"1f\","
+      "\"span_id\":\"ac\",\"parent_span_id\":\"ab\"}},"
+      "\n{\"name\":\"plain\",\"cat\":\"appclass\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":0,\"ts\":200,\"dur\":10,\"args\":{}},"
+      "\n{\"name\":\"log.line\",\"cat\":\"appclass\",\"ph\":\"i\","
+      "\"s\":\"t\",\"pid\":1,\"tid\":0,\"ts\":T,\"args\":{"
+      "\"trace_id\":\"1f\",\"span_id\":\"ad\",\"parent_span_id\":\"ab\","
+      "\"log\":\"a=1 b=\\\"x y\\\"\"}}";
+  const std::string header =
+      "{\"displayTimeUnit\":\"ms\",\"epochWallUs\":E,\"traceEvents\":[";
+
+  const std::string full = recorder.to_chrome_json();
+  EXPECT_EQ(masked(full),
+            header + classify_event + "," + newer_events + "\n]}\n");
+
+  // One byte short of the whole document: the oldest event goes, and
+  // the envelope counts it.
+  const std::string capped = recorder.to_chrome_json(full.size() - 1);
+  EXPECT_LE(capped.size(), full.size() - 1);
+  EXPECT_EQ(masked(capped),
+            header + newer_events + "\n],\"droppedEvents\":1}\n");
 }
 
 TEST(ObsRecorder, ClearEmptiesEveryRing) {

@@ -102,6 +102,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fs.hpp"
@@ -200,44 +201,63 @@ int cmd_train(const std::string& model_path) {
   return 0;
 }
 
+/// The run behind `profile` and `trace-replay`: `model` runs alone on
+/// VM1 of `tb`, sampled every 5 s, and its pool is written to `pool_path`
+/// as CSV. nullopt, reported on stderr, when the run does not complete.
+std::optional<monitor::ProfiledRun> profile_to_csv(
+    sim::Testbed& tb, workloads::ModelPtr model, const std::string& pool_path) {
+  monitor::ClusterMonitor mon(*tb.engine);
+  const auto id = tb.engine->submit(tb.vm1, std::move(model));
+  monitor::ProfiledRun run = monitor::profile_instance(*tb.engine, mon, id, 5);
+  if (!run.completed) {
+    std::fprintf(stderr, "run did not complete within the tick budget\n");
+    return std::nullopt;
+  }
+  write_file(pool_path, metrics::to_csv(run.pool));
+  return run;
+}
+
 int cmd_profile(const std::string& app, const std::string& pool_path,
                 double vm_ram_mb) {
-  sim::TestbedOptions opts;
-  opts.seed = 20260707;
-  opts.vm1_ram_mb = vm_ram_mb;
-  opts.four_vms = false;
-  sim::Testbed tb = sim::make_testbed(opts);
-  monitor::ClusterMonitor mon(*tb.engine);
+  sim::Testbed tb = sim::make_testbed(
+      {.seed = 20260707, .vm1_ram_mb = vm_ram_mb, .four_vms = false});
   auto model = workloads::make_by_name(app, static_cast<int>(tb.vm4));
   if (!model) {
     std::fprintf(stderr, "unknown application '%s' (try: appclass_cli apps)\n",
                  app.c_str());
     return 1;
   }
-  const auto id = tb.engine->submit(tb.vm1, std::move(model));
-  const auto run = monitor::profile_instance(*tb.engine, mon, id, 5);
-  if (!run.completed) {
-    std::fprintf(stderr, "run did not complete within the tick budget\n");
-    return 1;
-  }
-  write_file(pool_path, metrics::to_csv(run.pool));
+  const auto run = profile_to_csv(tb, std::move(model), pool_path);
+  if (!run) return 1;
   std::printf("%s ran %lld s in a %.0f MB VM; %zu snapshots -> %s\n",
-              app.c_str(), static_cast<long long>(run.elapsed()), vm_ram_mb,
-              run.pool.size(), pool_path.c_str());
+              app.c_str(), static_cast<long long>(run->elapsed()), vm_ram_mb,
+              run->pool.size(), pool_path.c_str());
   return 0;
+}
+
+/// The run behind `classify` and `trace dump`: the captured pool at
+/// `pool_path`, classified by the saved model at --threads width.
+/// nullopt, reported on stderr, when the pool holds no snapshots.
+std::optional<std::pair<metrics::DataPool, core::ClassificationResult>>
+classify_pool_file(const std::string& model_path,
+                   const std::string& pool_path) {
+  core::ClassificationPipeline pipeline = core::load_pipeline_file(model_path);
+  pipeline.set_parallelism(g_threads);
+  metrics::DataPool pool =
+      metrics::from_csv(common::read_file_or_throw(pool_path));
+  if (pool.empty()) {
+    std::fprintf(stderr, "pool %s holds no snapshots\n", pool_path.c_str());
+    return std::nullopt;
+  }
+  core::ClassificationResult result = pipeline.classify(pool);
+  return std::pair{std::move(pool), std::move(result)};
 }
 
 int cmd_classify(const std::string& model_path,
                  const std::string& pool_path) {
-  core::ClassificationPipeline pipeline = core::load_pipeline_file(model_path);
-  pipeline.set_parallelism(g_threads);
-  const metrics::DataPool pool =
-      metrics::from_csv(common::read_file_or_throw(pool_path));
-  if (pool.empty()) {
-    std::fprintf(stderr, "pool %s holds no snapshots\n", pool_path.c_str());
-    return 1;
-  }
-  const core::ClassificationResult result = pipeline.classify(pool);
+  const auto classified = classify_pool_file(model_path, pool_path);
+  if (!classified) return 1;
+  const auto& [pool, result] = *classified;
   std::printf("node:        %s\n", pool.node_ip().c_str());
   std::printf("snapshots:   %zu (t0=%lld, t1=%lld)\n", pool.size(),
               static_cast<long long>(pool.start_time()),
@@ -280,10 +300,7 @@ int cmd_features() {
 }
 
 int cmd_trace_record(const std::string& app, const std::string& path) {
-  sim::TestbedOptions opts;
-  opts.seed = 20260707;
-  opts.four_vms = false;
-  sim::Testbed tb = sim::make_testbed(opts);
+  sim::Testbed tb = sim::make_testbed({.seed = 20260707, .four_vms = false});
   auto inner = workloads::make_by_name(app, static_cast<int>(tb.vm4));
   if (!inner) {
     std::fprintf(stderr, "unknown application '%s'\n", app.c_str());
@@ -306,21 +323,12 @@ int cmd_trace_replay(const std::string& trace_path,
                      const std::string& pool_path) {
   const auto trace =
       workloads::trace_from_csv(common::read_file_or_throw(trace_path));
-  sim::TestbedOptions opts;
-  opts.seed = 1;
-  opts.four_vms = false;
-  sim::Testbed tb = sim::make_testbed(opts);
-  monitor::ClusterMonitor mon(*tb.engine);
-  const auto id = tb.engine->submit(
-      tb.vm1, std::make_unique<workloads::TraceReplayApp>(trace));
-  const auto run = monitor::profile_instance(*tb.engine, mon, id, 5);
-  if (!run.completed) {
-    std::fprintf(stderr, "replay did not complete\n");
-    return 1;
-  }
-  write_file(pool_path, metrics::to_csv(run.pool));
+  sim::Testbed tb = sim::make_testbed({.seed = 1, .four_vms = false});
+  const auto run = profile_to_csv(
+      tb, std::make_unique<workloads::TraceReplayApp>(trace), pool_path);
+  if (!run) return 1;
   std::printf("replayed %zu ticks of %s; %zu snapshots -> %s\n",
-              trace.size(), trace.app_name.c_str(), run.pool.size(),
+              trace.size(), trace.app_name.c_str(), run->pool.size(),
               pool_path.c_str());
   return 0;
 }
@@ -422,16 +430,9 @@ int cmd_trace_dump(const std::string& model_path,
                    const std::string& pool_path,
                    const std::string& out_path) {
   obs::set_tracing_enabled(true);
-  core::ClassificationPipeline pipeline =
-      core::load_pipeline_file(model_path);
-  pipeline.set_parallelism(g_threads);
-  const metrics::DataPool pool =
-      metrics::from_csv(common::read_file_or_throw(pool_path));
-  if (pool.empty()) {
-    std::fprintf(stderr, "pool %s holds no snapshots\n", pool_path.c_str());
-    return 1;
-  }
-  const core::ClassificationResult result = pipeline.classify(pool);
+  const auto classified = classify_pool_file(model_path, pool_path);
+  if (!classified) return 1;
+  const auto& [pool, result] = *classified;
   const auto& recorder = obs::TraceRecorder::global();
   if (!recorder.dump_to_file(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
